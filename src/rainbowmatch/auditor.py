@@ -16,17 +16,18 @@ whose colour is unused by M:
   monochromatic colour into the uncovered set.
 
 The audit then evaluates a battery of inequalities between those counts.
-``certify_counting_bound`` closes the loop numerically: over every
-admissible count tuple, the same inequalities force the host order below
-the rainbow-matching threshold of :func:`rainbowmatch.graphs.bound_n`.
+``certify_counting_bound`` shows that the same inequalities force the host
+order below the rainbow-matching threshold of
+:func:`rainbowmatch.graphs.bound_n` for every admissible count tuple.  For
+fixed pair counts the order bound is linear and then concave-quadratic in
+the class size, so it maximises each piece at a few integer candidates in
+exact arithmetic instead of scanning every class size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .engine import (
     rule_direct,
@@ -500,14 +501,30 @@ def certify_counting_bound(delta: int, a_cap: int | None = None) -> CertResult:
     """Certify that every admissible count tuple keeps the order below the
     rainbow threshold (9*delta - 5) / 2.
 
-    Enumerates good-pair count r >= 0, nice-pair count s >= 0 (a nice pair
-    requires a good one), class size a in 2..a_cap, and the least touched
-    count t = max(0, a - delta + 1 - (r+s)/2) allowed by the audit bounds,
-    skipping tuples with r + s + t > delta - 1.  The order bound is
-    evaluated twice, once from the printed closed form and once re-derived
+    The tuples are the good-pair count r >= 0, the nice-pair count s >= 0
+    (a nice pair requires a good one), the class size a in 2..a_cap and the
+    least touched count t = max(0, a - delta + 1 - (r+s)/2) allowed by the
+    audit bounds; tuples with r + s + t > delta - 1 are not admissible.
+    Each pair (r, s) is maximised over a in closed form.  With p = r + s
+    and B = 2*delta - 2 - 2r - s (not negative, as p <= delta - 1), the
+    admissible sizes are 2 <= a <= min(a_cap, (4*delta - 4 - p) // 2), and
+    on them the doubled bound 2*C + 2*(a-1)*B - (a-2)*2t has two pieces:
+
+    * while a <= (2*delta - 2 + p) // 2, t is 0 and the bound is linear
+      and non-decreasing in a, so the piece's right end is a maximiser
+      (a = 2 when B = 0, where the piece is flat);
+    * past that point 2t = 2a - 2*delta + 2 - p and the bound is a concave
+      quadratic with apex (2B + 2*delta + 2 + p) / 4, so the floor of the
+      apex or the integer after it, clipped to the piece, is a maximiser.
+
+    Those candidates are evaluated in increasing a, and pairs in increasing
+    (r, s), with a strict comparison, so ``worst_tuple`` is the first
+    maximiser of the full (r, s, a) grid.  ``tuples_checked`` counts every
+    admissible tuple the maximisation covers.  The a-free constant C is
+    computed twice, once from the printed closed form and once re-derived
     from the nice-edge count (cap minus the counted lower bound); the two
-    must agree everywhere.  Arithmetic is exact: everything is an integer
-    at twice the natural scale.
+    must agree for every pair.  Arithmetic is exact: everything is an
+    integer at twice the natural scale.
 
     Beyond ``a_cap`` (default 6*delta) the bound must be provably
     decreasing in a, else :class:`CapUnsafe` is raised: the cap has to
@@ -527,52 +544,55 @@ def certify_counting_bound(delta: int, a_cap: int | None = None) -> CertResult:
         raise CapUnsafe(
             f"a_cap {a_cap} does not clear the activation/stationary points for delta {delta}")
 
-    pair_list = [(r, s)
-                 for r in range(delta)
-                 for s in range(delta - r)
-                 if not (s >= 1 and r == 0)]
-    rs = np.array([p[0] for p in pair_list], dtype=np.int64)
-    ss = np.array([p[1] for p in pair_list], dtype=np.int64)
-    avals = np.arange(2, a_cap + 1, dtype=np.int64)
-    two_a_minus = 2 * (avals - delta + 1)          # shape (K,)
-    very_small = np.int64(-(2 ** 62))
-
     best_val: int | None = None
     best_pos: tuple[int, int, int, int] | None = None  # (r, s, a, 2t)
     checked = 0
     forms_agree = True
-    chunk = max(1, 4_000_000 // max(1, len(avals)))
-    for lo in range(0, len(pair_list), chunk):
-        r = rs[lo:lo + chunk, None]
-        s = ss[lo:lo + chunk, None]
+    for r in range(delta):
         # Printed closed form vs the form re-derived from the nice-edge
         # count; they differ only in this a-free part.
         const_printed = (3 * delta - 10 - r) * r + 2 * (delta + 3) * (delta - 1)
-        const_counts = ((3 * delta - 9 + s) * r + 6 * (delta - 1)
-                        + 2 * delta * (delta - 1) - (r + s + 1) * r)
-        if not np.array_equal(const_printed, const_counts):
-            forms_agree = False
-        t2 = np.maximum(two_a_minus[None, :] - (r + s), 0)
-        feasible = 2 * (r + s) + t2 <= 2 * (delta - 1)
-        rhs2 = (2 * const_counts
-                + 2 * (avals[None, :] - 1) * (2 * delta - 2 - 2 * r - s)
-                - (avals[None, :] - 2) * t2)
-        vals = np.where(feasible, rhs2, very_small)
-        checked += int(feasible.sum())
-        flat = int(vals.argmax())
-        top = int(vals.flat[flat])
-        if best_val is None or top > best_val:
-            i, j = divmod(flat, len(avals))
-            best_val = top
-            best_pos = (int(rs[lo + i]), int(ss[lo + i]), int(avals[j]),
-                        int(t2[i, j]))
+        for s in range(delta - r if r else 1):
+            p = r + s
+            const_counts = ((3 * delta - 9 + s) * r + 6 * (delta - 1)
+                            + 2 * delta * (delta - 1) - (p + 1) * r)
+            if const_printed != const_counts:
+                forms_agree = False
+            hi = min(a_cap, (4 * delta - 4 - p) // 2)
+            if hi < 2:
+                continue
+            checked += hi - 1
+            b = 2 * delta - 2 - 2 * r - s
+            flat_end = (2 * delta - 2 + p) // 2   # last a with t = 0
+            if flat_end >= hi:   # t stays 0 on the whole range
+                candidates = (2 if b == 0 else hi,)
+            else:
+                # Quadratic piece flat_end+1..hi: the floor of the apex and
+                # the integer after it, clipped to the piece.
+                apex = (2 * b + 2 * delta + 2 + p) // 4
+                if apex > flat_end:
+                    quad = (apex, apex + 1) if apex < hi else (hi,)
+                else:
+                    quad = (flat_end + 1,)
+                if flat_end < 2:
+                    candidates = quad
+                else:
+                    candidates = (2 if b == 0 else flat_end,) + quad
+            for a in candidates:
+                t2 = 2 * (a - delta + 1) - p
+                if t2 < 0:
+                    t2 = 0
+                val = 2 * const_counts + 2 * (a - 1) * b - (a - 2) * t2
+                if best_val is None or val > best_val:
+                    best_val = val
+                    best_pos = (r, s, a, t2)
     assert best_val is not None and best_pos is not None
     worst_n = Fraction(best_val, 2 * delta)
     threshold = Fraction(9 * delta - 5, 2)
     worst_tuple = (best_pos[0], best_pos[1], best_pos[2], Fraction(best_pos[3], 2))
     return CertResult(
         delta=delta,
-        holds=bool(best_val < delta * (9 * delta - 5)) and forms_agree,
+        holds=best_val < delta * (9 * delta - 5) and forms_agree,
         worst_tuple=worst_tuple,
         worst_n=worst_n,
         margin=threshold - worst_n,

@@ -6,6 +6,7 @@ import pytest
 
 from rainbowmatch import (
     CapUnsafe,
+    CertResult,
     InvalidState,
     Matching,
     NotStuck,
@@ -328,10 +329,18 @@ def oracle_certify(delta, a_cap=None):
 
 
 def oracle_certify_full(delta, a_cap=None):
-    """Slow variant scanning every class size; validates the grid above."""
+    """Slow dense grid scanning every class size; validates the grid above
+    and the certificate field by field.
+
+    Returns ``(worst_n, worst_tuple, admissible)``: the maximum of
+    bound / delta, its first maximiser ``(r, s, a, t)`` in (r, s, a) order
+    and the number of admissible tuples.
+    """
     if a_cap is None:
         a_cap = 6 * delta
     best = None
+    best_tuple = None
+    admissible = 0
     for r in range(delta):
         for s in range(delta - r):
             if s >= 1 and r == 0:
@@ -340,6 +349,7 @@ def oracle_certify_full(delta, a_cap=None):
                 t = max(Fraction(0), Fraction(2 * (a - delta + 1) - (r + s), 2))
                 if r + s + t > delta - 1:
                     continue
+                admissible += 1
                 rhs = (Fraction((3 * delta - 10 - r) * r
                                 + 2 * (delta + 3) * (delta - 1))
                        + (a - 1) * (2 * delta - 2 - 2 * r - s)
@@ -347,12 +357,35 @@ def oracle_certify_full(delta, a_cap=None):
                 value = Fraction(rhs, delta)
                 if best is None or value > best:
                     best = value
-    return best
+                    best_tuple = (r, s, a, t)
+    return best, best_tuple, admissible
+
+
+def oracle_cert_result(delta, a_cap=None):
+    """The :class:`CertResult` the dense grid predicts."""
+    if a_cap is None:
+        a_cap = 6 * delta
+    worst_n, worst_tuple, admissible = oracle_certify_full(delta, a_cap)
+    threshold = Fraction(9 * delta - 5, 2)
+    return CertResult(delta=delta, holds=worst_n < threshold,
+                      worst_tuple=worst_tuple, worst_n=worst_n,
+                      margin=threshold - worst_n, forms_agree=True,
+                      tuples_checked=admissible, a_cap=a_cap)
+
+
+def smallest_safe_cap(delta):
+    """Smallest class-size cap that does not raise CapUnsafe, and its result."""
+    a_cap = 2
+    while True:
+        try:
+            return a_cap, certify_counting_bound(delta, a_cap=a_cap)
+        except CapUnsafe:
+            a_cap += 1
 
 
 def test_oracle_grid_matches_full_scan_for_small_delta():
     for delta in range(2, 13):
-        assert oracle_certify(delta) == oracle_certify_full(delta)
+        assert oracle_certify(delta) == oracle_certify_full(delta)[0]
 
 
 def test_certify_matches_oracle():
@@ -363,6 +396,14 @@ def test_certify_matches_oracle():
         assert res.margin == Fraction(9 * delta - 5, 2) - res.worst_n
         assert res.margin > 0
         assert res.forms_agree
+    # Every field, tie-break and tuple count included, against the dense
+    # grid, at the default cap and at the smallest safe one.
+    for delta in range(2, 13):
+        assert certify_counting_bound(delta) == oracle_cert_result(delta), \
+            f"delta={delta}"
+        a_cap, res = smallest_safe_cap(delta)
+        assert res == oracle_cert_result(delta, a_cap), \
+            f"delta={delta} a_cap={a_cap}"
 
 
 def test_certify_delta_two_exactly():
@@ -386,6 +427,7 @@ def test_certify_large_delta_boundary_quadratic():
     res = certify_counting_bound(200)
     assert res.worst_n == Fraction(178904, 200) == Fraction(22363, 25)
     assert res.worst_tuple == (98, 0, 248, Fraction(0))
+    assert res.tuples_checked == 6_572_347
     assert res.holds
 
 
@@ -393,6 +435,7 @@ def test_certify_respects_a_cap_argument():
     res = certify_counting_bound(4, a_cap=30)
     assert res.a_cap == 30
     assert res.worst_n == oracle_certify(4, a_cap=30)
+    assert res == oracle_cert_result(4, a_cap=30)
 
 
 def test_cap_unsafe_raised_for_small_caps():

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rainbowmatch
 from rainbowmatch import dumps_graph, dumps_square, parse_graph
 from rainbowmatch.cli import main
 from rainbowmatch.latin import cyclic_square
@@ -123,14 +128,33 @@ def test_scan_rejects_reversed_range(capsys):
 
 # ------------------------------------------------------------------ certify
 
+CERTIFY_DELTA_2_LINE = ("delta=2 holds worst_n=6 threshold=13/2 margin=1/2 "
+                        "worst=(good=0,nice=0,class=2,touched=1) "
+                        "tuples=1 forms_agree=True")
+
+
 def test_certify_range(capsys):
     assert main(["certify", "2..5"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
     assert all("holds" in line and "forms_agree=True" in line for line in lines)
-    assert lines[0] == ("delta=2 holds worst_n=6 threshold=13/2 margin=1/2 "
-                        "worst=(good=0,nice=0,class=2,touched=1) "
-                        "tuples=1 forms_agree=True")
+    assert lines[0] == CERTIFY_DELTA_2_LINE
+
+
+def test_certify_runs_without_numpy():
+    # numpy = None in sys.modules makes every "import numpy" raise.
+    script = ("import sys\n"
+              "sys.modules['numpy'] = None\n"
+              "import rainbowmatch, rainbowmatch.cli\n"
+              "sys.exit(rainbowmatch.cli.main(['certify', '2..5']))\n")
+    env = dict(os.environ)
+    src = str(Path(rainbowmatch.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == CERTIFY_DELTA_2_LINE
 
 
 def test_certify_rejects_degenerate_delta(capsys):
