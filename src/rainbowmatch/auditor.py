@@ -497,6 +497,28 @@ class CertResult:
     a_cap: int
 
 
+def const_printed(delta: int, r: int) -> int:
+    """The a-free part C of the order bound, in its printed closed form."""
+    return (3 * delta - 10 - r) * r + 2 * (delta + 3) * (delta - 1)
+
+
+def const_counts(delta: int, r: int, s: int) -> int:
+    """C re-derived from the nice-edge count (cap minus the counted lower
+    bound), before simplification; it does not depend on s."""
+    return ((3 * delta - 9 + s) * r + 6 * (delta - 1)
+            + 2 * delta * (delta - 1) - (r + s + 1) * r)
+
+
+def constant_forms_agree() -> bool:
+    """True iff the two forms of C are the same polynomial in (delta, r, s).
+
+    Both have degree at most 2 in each variable, so agreeing on a 3x3x3
+    grid of distinct values makes them identical everywhere.
+    """
+    return all(const_printed(d, r) == const_counts(d, r, s)
+               for d in range(3) for r in range(3) for s in range(3))
+
+
 def certify_counting_bound(delta: int, a_cap: int | None = None) -> CertResult:
     """Certify that every admissible count tuple keeps the order below the
     rainbow threshold (9*delta - 5) / 2.
@@ -520,11 +542,12 @@ def certify_counting_bound(delta: int, a_cap: int | None = None) -> CertResult:
     Those candidates are evaluated in increasing a, and pairs in increasing
     (r, s), with a strict comparison, so ``worst_tuple`` is the first
     maximiser of the full (r, s, a) grid.  ``tuples_checked`` counts every
-    admissible tuple the maximisation covers.  The a-free constant C is
-    computed twice, once from the printed closed form and once re-derived
-    from the nice-edge count (cap minus the counted lower bound); the two
-    must agree for every pair.  Arithmetic is exact: everything is an
-    integer at twice the natural scale.
+    admissible tuple the maximisation covers.  The a-free constant C has
+    two forms, the printed closed form and the one re-derived from the
+    nice-edge count (cap minus the counted lower bound); ``forms_agree``
+    reports that they are the same polynomial (:func:`constant_forms_agree`).
+    Arithmetic is exact: everything is an integer at twice the natural
+    scale.
 
     Beyond ``a_cap`` (default 6*delta) the bound must be provably
     decreasing in a, else :class:`CapUnsafe` is raised: the cap has to
@@ -547,17 +570,11 @@ def certify_counting_bound(delta: int, a_cap: int | None = None) -> CertResult:
     best_val: int | None = None
     best_pos: tuple[int, int, int, int] | None = None  # (r, s, a, 2t)
     checked = 0
-    forms_agree = True
+    forms_agree = constant_forms_agree()
     for r in range(delta):
-        # Printed closed form vs the form re-derived from the nice-edge
-        # count; they differ only in this a-free part.
-        const_printed = (3 * delta - 10 - r) * r + 2 * (delta + 3) * (delta - 1)
+        const = const_printed(delta, r)
         for s in range(delta - r if r else 1):
             p = r + s
-            const_counts = ((3 * delta - 9 + s) * r + 6 * (delta - 1)
-                            + 2 * delta * (delta - 1) - (p + 1) * r)
-            if const_printed != const_counts:
-                forms_agree = False
             hi = min(a_cap, (4 * delta - 4 - p) // 2)
             if hi < 2:
                 continue
@@ -582,7 +599,7 @@ def certify_counting_bound(delta: int, a_cap: int | None = None) -> CertResult:
                 t2 = 2 * (a - delta + 1) - p
                 if t2 < 0:
                     t2 = 0
-                val = 2 * const_counts + 2 * (a - 1) * b - (a - 2) * t2
+                val = 2 * const + 2 * (a - 1) * b - (a - 2) * t2
                 if best_val is None or val > best_val:
                     best_val = val
                     best_pos = (r, s, a, t2)

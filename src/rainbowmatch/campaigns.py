@@ -147,10 +147,6 @@ class CampaignResult:
     violations: list[str] = field(default_factory=list)
     witness_files: list[str] = field(default_factory=list)
 
-    @property
-    def unflagged_violations(self) -> list[str]:
-        return list(self.violations)
-
 
 def _evaluate_instance(graph, delta, config, rec_common, out_dir, result):
     """Solve one colouring exactly, run the engine, apply the weaker-bound

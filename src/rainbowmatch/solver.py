@@ -1,21 +1,37 @@
 """Exact rainbow-matching search by depth-first branch and bound.
 
-Edges are ordered by endpoint degree sum (descending, ties by edge id) and
-the search branches include/exclude on each edge in turn.  A branch is cut
-when the matching built so far plus an optimistic completion bound (the
-smaller of half the free endpoints ahead and the fresh colours ahead)
-cannot beat the incumbent.  The search is deterministic: identical inputs
-give identical traces and node counts.  Each solve is single-threaded;
-solves on different graphs can run concurrently.
+One include/exclude core serves the three modes.  It walks the edges in a
+fixed branching order, takes each edge if it is still compatible, and
+explores the branch with the edge before the branch without it.  Max and
+decide use the endpoint degree-sum order (descending, ties by edge id);
+count uses edge-id order.
+
+The state of a node is a few ints: the position in the order, the
+matching size, and the used vertices and used colours as bitmasks.
+Colour bits are indexed by the colour's rank among the graph's colours,
+never by the colour value itself.  The witness is a linked chain of edge
+ids, shared by every node below it.  The tree is walked with an explicit
+stack, so no graph is too deep for it and the interpreter's recursion
+limit is never touched.
+
+A branch is cut when the matching built so far plus an optimistic
+completion bound cannot reach what is needed (the incumbent plus one, or
+the target size).  The bound is the smaller of half the free endpoints
+ahead and the fresh colours ahead.  Suffix masks of the endpoints and
+colours from each position onwards make it two popcounts per node.
+
+The search is deterministic: identical inputs give identical trees,
+traces and node counts.  Each solve is single-threaded; solves on
+different graphs can run concurrently.
 """
 
 from __future__ import annotations
 
-import sys
+import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .graphs import Edge, EdgeColoredGraph, Matching
+from .graphs import EdgeColoredGraph, Matching
 
 
 @dataclass(frozen=True)
@@ -47,89 +63,98 @@ class SolveResult:
     trace: tuple = ()
 
 
-class _Stop(Exception):
-    pass
+@dataclass
+class _Run:
+    """What one walk of the search tree found."""
+
+    best: tuple | None      # witness chain: (edge id, rest of the chain) or None
+    size: int
+    nodes: int
+    events: list
+    budget_hit: bool
+    count: int              # count mode: matchings of the target size
 
 
-class _Search:
-    """Shared include/exclude search core for the three public entry points."""
+def _search(graph: EdgeColoredGraph, order, target: int | None,
+            node_budget: int | None, count_all: bool = False) -> _Run:
+    """Include/exclude branch and bound over the edges in ``order``.
 
-    def __init__(self, graph: EdgeColoredGraph, target: int | None = None,
-                 node_budget: int | None = None):
-        self.edges = graph.edges
-        deg = graph.degrees()
-        self.order = sorted(
-            range(len(self.edges)),
-            key=lambda i: (-(deg[self.edges[i][0]] + deg[self.edges[i][1]]), i),
-        )
-        self.target = target
-        self.node_budget = node_budget
-        self.nodes = 0
-        self.budget_hit = False
-        self.best: list[int] = []
-        self.current: list[int] = []
-        self.used_v: set[int] = set()
-        self.used_c: set[int] = set()
-        self.events: list[SearchEvent] = []
+    With ``target`` None the search maximises; otherwise it stops at the
+    first matching of ``target`` edges, or with ``count_all`` counts every
+    such matching and backtracks from it.  The search stops before it would
+    visit node ``node_budget + 1``.
+    """
+    edges = graph.edges
+    rank = {c: r for r, c in enumerate(sorted(graph.colors))}
+    order = tuple(order)
+    m = len(order)
+    vmask = [0] * m
+    cmask = [0] * m
+    suf_v = [0] * (m + 1)
+    suf_c = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        u, v, c = edges[order[i]]
+        vmask[i] = (1 << u) | (1 << v)
+        cmask[i] = 1 << rank[c]
+        suf_v[i] = suf_v[i + 1] | vmask[i]
+        suf_c[i] = suf_c[i + 1] | cmask[i]
+    limit = math.inf if node_budget is None else node_budget
+    maximise = target is None
+    need = 1 if maximise else target
+    nodes = count = best_size = 0
+    best = None
+    events: list[SearchEvent] = []
+    # A frame is (position, size, used vertices, used colours, witness
+    # chain).  The include child is walked at once and the exclude child
+    # pushed, so the stack keeps the recursive visiting order.
+    stack = [(0, 0, 0, 0, None)]
+    while stack:
+        i, size, used_v, used_c, chain = stack.pop()
+        while True:
+            if nodes >= limit:
+                events.append(SearchEvent("budget", size, nodes))
+                return _Run(best, best_size, nodes, events, True, count)
+            nodes += 1
+            if size > best_size:
+                best, best_size = chain, size
+                events.append(SearchEvent("incumbent", size, nodes))
+                if maximise:
+                    need = size + 1
+            if size >= need:   # a matching of the target size
+                if not count_all:
+                    return _Run(best, best_size, nodes, events, False, count)
+                count += 1
+                break
+            # Cut unless the fresh colours ahead and half the free
+            # endpoints ahead can both still reach ``need``.
+            if (size + (suf_c[i] & ~used_c).bit_count() < need
+                    or size + ((suf_v[i] & ~used_v).bit_count() >> 1) < need):
+                break
+            vm = vmask[i]
+            cm = cmask[i]
+            if not (used_v & vm or used_c & cm):
+                stack.append((i + 1, size, used_v, used_c, chain))
+                chain = (order[i], chain)
+                size += 1
+                used_v |= vm
+                used_c |= cm
+            i += 1
+    return _Run(best, best_size, nodes, events, False, count)
 
-    def run(self) -> None:
-        needed = 2 * len(self.edges) + 100
-        if sys.getrecursionlimit() < needed:
-            sys.setrecursionlimit(needed)
-        try:
-            self._visit(0)
-        except _Stop:
-            pass
 
-    def _visit(self, i: int) -> None:
-        if self.node_budget is not None and self.nodes >= self.node_budget:
-            self.budget_hit = True
-            self.events.append(SearchEvent("budget", len(self.current), self.nodes))
-            raise _Stop
-        self.nodes += 1
-        if len(self.current) > len(self.best):
-            self.best = list(self.current)
-            self.events.append(SearchEvent("incumbent", len(self.best), self.nodes))
-            if self.target is not None and len(self.best) >= self.target:
-                raise _Stop
-        if i == len(self.order):
-            return
-        reachable = len(self.current) + self._potential(i)
-        if self.target is None:
-            if reachable <= len(self.best):
-                return
-        elif reachable < self.target:
-            return
-        u, v, c = self.edges[self.order[i]]
-        if u not in self.used_v and v not in self.used_v and c not in self.used_c:
-            self.current.append(self.order[i])
-            self.used_v.add(u)
-            self.used_v.add(v)
-            self.used_c.add(c)
-            self._visit(i + 1)
-            self.used_c.discard(c)
-            self.used_v.discard(v)
-            self.used_v.discard(u)
-            self.current.pop()
-        self._visit(i + 1)
+def _degree_order(graph: EdgeColoredGraph) -> list[int]:
+    edges = graph.edges
+    deg = graph.degrees()
+    return sorted(range(len(edges)),
+                  key=lambda i: (-(deg[edges[i][0]] + deg[edges[i][1]]), i))
 
-    def _potential(self, i: int) -> int:
-        # Optimistic completion: undecided edges can add at most
-        # floor(free endpoints / 2) edges and at most one per fresh colour.
-        free: set[int] = set()
-        fresh: set[int] = set()
-        for j in self.order[i:]:
-            u, v, c = self.edges[j]
-            if c not in self.used_c:
-                fresh.add(c)
-            if u not in self.used_v:
-                free.add(u)
-            if v not in self.used_v:
-                free.add(v)
-        return min(len(free) // 2, len(fresh))
 
-    def best_matching(self) -> Matching:
-        return Matching(self.edges[i] for i in self.best)
+def _matching(graph: EdgeColoredGraph, chain) -> Matching:
+    picked = []
+    while chain is not None:
+        idx, chain = chain
+        picked.append(graph.edges[idx])
+    return Matching(picked)
 
 
 def max_rainbow_matching(graph: EdgeColoredGraph,
@@ -139,14 +164,13 @@ def max_rainbow_matching(graph: EdgeColoredGraph,
     With a node budget the search may stop early; the result then carries
     the incumbent with ``optimal=False``.
     """
-    search = _Search(graph, node_budget=node_budget)
-    search.run()
+    run = _search(graph, _degree_order(graph), None, node_budget)
     return SolveResult(
-        best=search.best_matching(),
-        size=len(search.best),
-        optimal=not search.budget_hit,
-        nodes_explored=search.nodes,
-        trace=tuple(search.events),
+        best=_matching(graph, run.best),
+        size=run.size,
+        optimal=not run.budget_hit,
+        nodes_explored=run.nodes,
+        trace=tuple(run.events),
     )
 
 
@@ -175,15 +199,13 @@ def solve_decision(graph: EdgeColoredGraph, k: int,
     """
     if k <= 0:
         return SolveResult(Matching(), 0, True, 0, ())
-    search = _Search(graph, target=k, node_budget=node_budget)
-    search.run()
-    resolved = len(search.best) >= k or not search.budget_hit
+    run = _search(graph, _degree_order(graph), k, node_budget)
     return SolveResult(
-        best=search.best_matching(),
-        size=len(search.best),
-        optimal=resolved,
-        nodes_explored=search.nodes,
-        trace=tuple(search.events),
+        best=_matching(graph, run.best),
+        size=run.size,
+        optimal=run.size >= k or not run.budget_hit,
+        nodes_explored=run.nodes,
+        trace=tuple(run.events),
     )
 
 
@@ -207,47 +229,7 @@ def count_rainbow_matchings(graph: EdgeColoredGraph, size: int,
         return 0
     if size == 0:
         return 1
-    edges = graph.edges
-    m = len(edges)
-    needed = 2 * m + 100
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
-    used_v: set[int] = set()
-    used_c: set[int] = set()
-    state = {"count": 0, "nodes": 0}
-
-    def potential(i: int) -> int:
-        free: set[int] = set()
-        fresh: set[int] = set()
-        for j in range(i, m):
-            u, v, c = edges[j]
-            if c not in used_c:
-                fresh.add(c)
-            if u not in used_v:
-                free.add(u)
-            if v not in used_v:
-                free.add(v)
-        return min(len(free) // 2, len(fresh))
-
-    def visit(i: int, picked: int) -> None:
-        state["nodes"] += 1
-        if node_budget is not None and state["nodes"] > node_budget:
-            raise BudgetExceeded(f"node budget {node_budget} hit while counting")
-        if picked == size:
-            state["count"] += 1
-            return
-        if i == m or picked + potential(i) < size:
-            return
-        u, v, c = edges[i]
-        if u not in used_v and v not in used_v and c not in used_c:
-            used_v.add(u)
-            used_v.add(v)
-            used_c.add(c)
-            visit(i + 1, picked + 1)
-            used_c.discard(c)
-            used_v.discard(v)
-            used_v.discard(u)
-        visit(i + 1, picked)
-
-    visit(0, 0)
-    return state["count"]
+    run = _search(graph, range(len(graph.edges)), size, node_budget, count_all=True)
+    if run.budget_hit:
+        raise BudgetExceeded(f"node budget {node_budget} hit while counting")
+    return run.count

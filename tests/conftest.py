@@ -37,6 +37,13 @@ def k33_cyclic():
     return build_graph(6, edges)
 
 
+def cyclic_knn(n: int):
+    """K_{n,n} coloured by the cyclic square of order n; rows 0..n-1,
+    columns n..2n-1."""
+    return build_graph(2 * n, [(i, n + j, (i + j) % n + 1)
+                               for i in range(n) for j in range(n)])
+
+
 def two_edge_path():
     return build_graph(3, [(0, 1, 1), (1, 2, 2)])
 

@@ -24,6 +24,8 @@ from rainbowmatch import (
     run_engine,
 )
 
+from rainbowmatch.auditor import const_counts, const_printed, constant_forms_agree
+
 from conftest import k33_cyclic, k4_one_factorization, random_instance
 
 
@@ -404,6 +406,16 @@ def test_certify_matches_oracle():
         a_cap, res = smallest_safe_cap(delta)
         assert res == oracle_cert_result(delta, a_cap), \
             f"delta={delta} a_cap={a_cap}"
+
+
+def test_constant_forms_agree_on_a_grid():
+    # Both forms have degree <= 2 in each of delta, r and s, so agreement
+    # on three distinct values per variable proves the identity.
+    for delta in (2, 7, 50):
+        for r in (0, 1, 5):
+            for s in (0, 3, 9):
+                assert const_printed(delta, r) == const_counts(delta, r, s)
+    assert constant_forms_agree()
 
 
 def test_certify_delta_two_exactly():

@@ -101,6 +101,19 @@ def test_small_campaign_shape_and_success():
         assert rec.found_size >= 2 and rec.engine_size >= 0
 
 
+def test_node_budget_hit_is_inconclusive_never_ok_or_failure():
+    config = CampaignConfig(deltas=(2, 3), samples=3, recolorings=1,
+                            master_seed=7, node_budget=1)
+    result = run_campaign(config)
+    assert len(result.records) == 2 * 3 * 2
+    for rec in result.records:
+        assert rec.status == "inconclusive" and rec.theorem_ok is None
+    for cell in result.cells:
+        assert (cell.ok, cell.failures) == (0, 0)
+        assert cell.inconclusive == cell.instances
+    assert result.violations == [] and result.witness_files == []
+
+
 def test_campaign_is_reproducible_byte_for_byte():
     first = run_campaign(SMALL)
     second = run_campaign(SMALL)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from rainbowmatch import (
     BudgetExceeded,
     Matching,
+    SearchEvent,
     build_graph,
     count_rainbow_matchings,
     is_rainbow_matching,
@@ -19,6 +22,7 @@ from conftest import (
     brute_max_matching,
     brute_max_rainbow,
     c4,
+    cyclic_knn,
     k33_cyclic,
     k4_one_factorization,
     random_instance,
@@ -110,6 +114,24 @@ def test_budget_respected():
     assert res.nodes_explored <= 5
 
 
+def test_budgeted_max_ends_with_a_budget_event():
+    g = random_instance(9)
+    for budget in (0, 1, 10, 69):
+        res = max_rainbow_matching(g, node_budget=budget)
+        assert not res.optimal
+        assert res.nodes_explored == budget
+        assert res.trace[-1] == SearchEvent("budget", res.trace[-1].size, budget)
+        assert all(e.event == "incumbent" for e in res.trace[:-1])
+    assert max_rainbow_matching(g, node_budget=70).optimal
+
+
+def test_budgeted_count_raises():
+    g = cyclic_knn(6)
+    with pytest.raises(BudgetExceeded):
+        count_rainbow_matchings(g, 6, node_budget=100)
+    assert count_rainbow_matchings(g, 5, node_budget=10 ** 6) > 0
+
+
 # ----------------------------------------------------------------- counting
 
 def test_count_size_zero_is_one():
@@ -133,6 +155,36 @@ def test_identical_runs_identical_traces():
     a = max_rainbow_matching(g)
     b = max_rainbow_matching(g)
     assert a.best == b.best and a.trace == b.trace and a.nodes_explored == b.nodes_explored
+
+
+def test_max_trace_is_pinned():
+    # Node count, trace and witness of the include/exclude tree in
+    # degree-sum order; any change to the order or the bound moves them.
+    res = max_rainbow_matching(random_instance(9))
+    assert res.nodes_explored == 70
+    assert [(e.event, e.size, e.node) for e in res.trace] == [
+        ("incumbent", 1, 2), ("incumbent", 2, 7),
+        ("incumbent", 3, 25), ("incumbent", 4, 66)]
+    assert res.best == Matching([(0, 7, 5), (1, 3, 4), (2, 6, 1), (5, 8, 2)])
+
+
+@pytest.mark.parametrize("n, nodes", [(6, 1_924), (8, 43_493)])
+def test_even_cyclic_decide_node_counts_are_pinned(n, nodes):
+    # The even cyclic K_{n,n} has no rainbow perfect matching, so the
+    # decision search runs to exhaustion.
+    res = solve_decision(cyclic_knn(n), n)
+    assert res.optimal and res.size == n - 1
+    assert res.nodes_explored == nodes
+
+
+def test_deep_instance_runs_without_touching_the_recursion_limit():
+    m = 3000
+    g = build_graph(2 * m, [(2 * i, 2 * i + 1, i + 1) for i in range(m)])
+    limit = sys.getrecursionlimit()
+    res = max_rainbow_matching(g)
+    assert res.size == m and res.optimal and is_rainbow_matching(g, res.best)
+    assert count_rainbow_matchings(g, m) == 1
+    assert sys.getrecursionlimit() == limit
 
 
 def test_trace_incumbent_sizes_strictly_increase():
@@ -197,3 +249,16 @@ def test_max_matching_dominates_rainbow(g):
     assert Matching(plain.edges).is_vertex_disjoint()
     assert len(plain) == brute_max_matching(g)
     assert len(plain) >= max_rainbow_matching(g).size
+
+
+@settings(max_examples=60, deadline=None)
+@given(proper_graphs(max_n=7, max_m=10), st.integers(min_value=1, max_value=3))
+def test_huge_colour_values_change_nothing(g, size):
+    # Colours are arbitrary positive ints; the search must not index
+    # anything by the raw value.
+    big = build_graph(g.n, [(u, v, c * 10 ** 12 + 7) for u, v, c in g.edges])
+    a, b = max_rainbow_matching(g), max_rainbow_matching(big)
+    assert a.size == b.size
+    assert a.nodes_explored == b.nodes_explored
+    assert a.trace == b.trace
+    assert count_rainbow_matchings(g, size) == count_rainbow_matchings(big, size)
