@@ -69,12 +69,20 @@ def _parse_json(text: str) -> EdgeColoredGraph:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ParseError("JSON graph must be an object with 'n' and 'edges'")
+    if not _is_int(obj["n"]):
+        raise ParseError(f"'n' must be an integer, got {obj['n']!r}")
     edges = obj["edges"]
     if not isinstance(edges, list) or not all(
-        isinstance(e, (list, tuple)) and len(e) == 3 for e in edges
+        isinstance(e, list) and len(e) == 3 and all(_is_int(x) for x in e)
+        for e in edges
     ):
-        raise ParseError("'edges' must be a list of [u, v, colour] triples")
+        raise ParseError("'edges' must be a list of [u, v, colour] integer triples")
     return build_graph(obj["n"], [tuple(e) for e in edges])
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not integers here.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def dumps_graph(graph: EdgeColoredGraph, fmt: str = "text") -> str:

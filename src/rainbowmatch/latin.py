@@ -16,7 +16,7 @@ from .errors import (
 )
 from .graphs import EdgeColoredGraph, build_graph
 
-TRANSVERSAL_ORDER_CAP = 9
+TRANSVERSAL_ORDER_CAP = 11
 
 
 class LatinSquare:
@@ -137,7 +137,7 @@ def count_transversals(square: LatinSquare) -> int:
     """Exact transversal count by backtracking over the n! column choices.
 
     A transversal picks one cell per row and column with all symbols
-    distinct.  Orders above 9 raise :class:`OrderTooLarge`.
+    distinct.  Orders above 11 raise :class:`OrderTooLarge`.
     """
     n = square.n
     if n > TRANSVERSAL_ORDER_CAP:

@@ -1,28 +1,30 @@
-"""Exact rainbow-matching search by depth-first branch and bound.
+"""Exact rainbow-matching search and counting over int bitmasks.
 
-One include/exclude core serves the three modes.  It walks the edges in a
-fixed branching order, takes each edge if it is still compatible, and
-explores the branch with the edge before the branch without it.  Max and
-decide use the endpoint degree-sum order (descending, ties by edge id);
-count uses edge-id order.
+Max and decide share one include/exclude branch and bound.  It walks the
+edges in the endpoint degree-sum order (descending, ties by edge id),
+takes each edge if it is still compatible, and explores the branch with
+the edge before the branch without it.  The state of a node is a few
+ints: the position in the order, the matching size, and the used
+vertices and used colours as bitmasks.  The witness is a linked chain of
+edge ids, shared by every node below it.  A branch is cut when the
+matching built so far plus an optimistic completion bound cannot reach
+what is needed (the incumbent plus one, or the target size).  The bound
+is the smaller of half the free endpoints ahead and the fresh colours
+ahead; suffix masks of the endpoints and colours from each position
+onwards make it two popcounts per node.
 
-The state of a node is a few ints: the position in the order, the
-matching size, and the used vertices and used colours as bitmasks.
+Counting has its own search.  At each node it takes the lowest free
+vertex and branches on how that vertex is covered: by one of its
+compatible edges, or by none.  Every matching has exactly one such
+choice at every vertex, so each is counted once.  On a Latin square's
+K_{n,n} encoding this is the row-by-row walk of ``count_transversals``.
+
 Colour bits are indexed by the colour's rank among the graph's colours,
-never by the colour value itself.  The witness is a linked chain of edge
-ids, shared by every node below it.  The tree is walked with an explicit
-stack, so no graph is too deep for it and the interpreter's recursion
-limit is never touched.
-
-A branch is cut when the matching built so far plus an optimistic
-completion bound cannot reach what is needed (the incumbent plus one, or
-the target size).  The bound is the smaller of half the free endpoints
-ahead and the fresh colours ahead.  Suffix masks of the endpoints and
-colours from each position onwards make it two popcounts per node.
-
-The search is deterministic: identical inputs give identical trees,
-traces and node counts.  Each solve is single-threaded; solves on
-different graphs can run concurrently.
+never by the colour value itself.  Both searches keep an explicit stack,
+so no graph is too deep for them and the interpreter's recursion limit
+is never touched.  They are deterministic: identical inputs give
+identical trees, traces and node counts.  Each call is single-threaded;
+calls on different graphs can run concurrently.
 """
 
 from __future__ import annotations
@@ -72,21 +74,23 @@ class _Run:
     nodes: int
     events: list
     budget_hit: bool
-    count: int              # count mode: matchings of the target size
+
+
+def _colour_bits(graph: EdgeColoredGraph) -> dict[int, int]:
+    """Each colour's bitmask bit, by its rank among the graph's colours."""
+    return {c: 1 << r for r, c in enumerate(sorted(graph.colors))}
 
 
 def _search(graph: EdgeColoredGraph, order, target: int | None,
-            node_budget: int | None, count_all: bool = False) -> _Run:
+            node_budget: int | None) -> _Run:
     """Include/exclude branch and bound over the edges in ``order``.
 
     With ``target`` None the search maximises; otherwise it stops at the
-    first matching of ``target`` edges, or with ``count_all`` counts every
-    such matching and backtracks from it.  The search stops before it would
+    first matching of ``target`` edges.  The search stops before it would
     visit node ``node_budget + 1``.
     """
     edges = graph.edges
-    rank = {c: r for r, c in enumerate(sorted(graph.colors))}
-    order = tuple(order)
+    colour_bit = _colour_bits(graph)
     m = len(order)
     vmask = [0] * m
     cmask = [0] * m
@@ -95,13 +99,13 @@ def _search(graph: EdgeColoredGraph, order, target: int | None,
     for i in range(m - 1, -1, -1):
         u, v, c = edges[order[i]]
         vmask[i] = (1 << u) | (1 << v)
-        cmask[i] = 1 << rank[c]
+        cmask[i] = colour_bit[c]
         suf_v[i] = suf_v[i + 1] | vmask[i]
         suf_c[i] = suf_c[i + 1] | cmask[i]
     limit = math.inf if node_budget is None else node_budget
     maximise = target is None
     need = 1 if maximise else target
-    nodes = count = best_size = 0
+    nodes = best_size = 0
     best = None
     events: list[SearchEvent] = []
     # A frame is (position, size, used vertices, used colours, witness
@@ -113,7 +117,7 @@ def _search(graph: EdgeColoredGraph, order, target: int | None,
         while True:
             if nodes >= limit:
                 events.append(SearchEvent("budget", size, nodes))
-                return _Run(best, best_size, nodes, events, True, count)
+                return _Run(best, best_size, nodes, events, True)
             nodes += 1
             if size > best_size:
                 best, best_size = chain, size
@@ -121,10 +125,7 @@ def _search(graph: EdgeColoredGraph, order, target: int | None,
                 if maximise:
                     need = size + 1
             if size >= need:   # a matching of the target size
-                if not count_all:
-                    return _Run(best, best_size, nodes, events, False, count)
-                count += 1
-                break
+                return _Run(best, best_size, nodes, events, False)
             # Cut unless the fresh colours ahead and half the free
             # endpoints ahead can both still reach ``need``.
             if (size + (suf_c[i] & ~used_c).bit_count() < need
@@ -139,7 +140,7 @@ def _search(graph: EdgeColoredGraph, order, target: int | None,
                 used_v |= vm
                 used_c |= cm
             i += 1
-    return _Run(best, best_size, nodes, events, False, count)
+    return _Run(best, best_size, nodes, events, False)
 
 
 def _degree_order(graph: EdgeColoredGraph) -> list[int]:
@@ -222,14 +223,53 @@ def count_rainbow_matchings(graph: EdgeColoredGraph, size: int,
                             node_budget: int | None = None) -> int:
     """Number of rainbow matchings with exactly ``size`` edges.
 
-    Exhaustive include/exclude count with a capacity cut; used as the
-    graph-side cross-check for transversal counting.
+    Branches on the lowest free vertex: one child per compatible edge at
+    it, and one that leaves it unmatched while the other free vertices can
+    still hold the edges still needed.  The last edge is counted in place
+    rather than visited.  Used as the graph-side cross-check for transversal
+    counting.  Raises :class:`BudgetExceeded` before visiting node
+    ``node_budget + 1``.
     """
     if size < 0:
         return 0
     if size == 0:
         return 1
-    run = _search(graph, range(len(graph.edges)), size, node_budget, count_all=True)
-    if run.budget_hit:
-        raise BudgetExceeded(f"node budget {node_budget} hit while counting")
-    return run.count
+    colour_bit = _colour_bits(graph)
+    edges = graph.edges
+    # Per vertex, (other endpoint's bit, colour bit) for each incident edge.
+    options = []
+    for v, idxs in enumerate(graph.incidence):
+        opts = []
+        for idx in idxs:
+            a, b, c = edges[idx]
+            opts.append((1 << (b if a == v else a), colour_bit[c]))
+        options.append(tuple(opts))
+    everyone = (1 << graph.n) - 1
+    limit = math.inf if node_budget is None else node_budget
+    nodes = count = 0
+    # A node is (edges still needed, used-or-skipped vertices, used colours).
+    stack = [(size, 0, 0)]
+    while stack:
+        need, used_v, used_c = stack.pop()
+        if nodes >= limit:
+            raise BudgetExceeded(f"node budget {node_budget} hit while counting")
+        nodes += 1
+        free = everyone ^ used_v
+        room = free.bit_count()
+        if room >> 1 < need:
+            continue
+        low = free & -free
+        opts = options[low.bit_length() - 1]
+        if (room - 1) >> 1 >= need:
+            stack.append((need, used_v | low, used_c))
+        if need == 1:
+            for vb, cb in opts:
+                if free & vb and not used_c & cb:
+                    count += 1
+        else:
+            need -= 1
+            used_v |= low
+            for vb, cb in opts:
+                if free & vb and not used_c & cb:
+                    stack.append((need, used_v | vb, used_c | cb))
+    return count

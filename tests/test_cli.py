@@ -75,6 +75,13 @@ def test_solve_rejects_improper_colouring(tmp_path, capsys):
     assert "error:" in err and "5" in err
 
 
+def test_solve_rejects_non_integer_json_values(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 3, "edges": [[0, 1, 1.5]]}))
+    assert main(["solve", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_solve_missing_file(capsys):
     assert main(["solve", "/nonexistent/graph.txt"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -61,6 +61,21 @@ def test_parse_error_on_bad_json():
         parse_graph(json.dumps({"edges": [[0, 1, 1]]}))  # no n field
 
 
+@pytest.mark.parametrize("payload", [
+    {"n": "abc", "edges": []},
+    {"n": 3.5, "edges": [[0, 1, 1]]},
+    {"n": True, "edges": []},
+    {"n": 3, "edges": [["0", 1, 1]]},
+    {"n": 3, "edges": [[0, 1, None]]},
+    {"n": 3, "edges": [[0, 1, 1.5]]},
+    {"n": 3, "edges": [[0, 1, True]]},
+], ids=["string-n", "float-n", "bool-n", "string-vertex", "null-colour",
+        "float-colour", "bool-colour"])
+def test_json_values_must_be_integers(payload):
+    with pytest.raises(ParseError):
+        parse_graph(json.dumps(payload))
+
+
 def test_file_round_trip(tmp_path):
     g = k4_one_factorization()
     path = tmp_path / "k4.txt"

@@ -128,7 +128,18 @@ def test_transversal_count_matches_rainbow_matching_counter():
 
 def test_order_cap_enforced():
     with pytest.raises(OrderTooLarge):
-        count_transversals(cyclic_square(10))
+        count_transversals(cyclic_square(12))
+
+
+def test_published_cyclic_counts_for_both_counters():
+    # OEIS A006717: transversals of the cyclic square of odd order n.
+    # Cyclic squares of even order have none.
+    published = {3: 3, 5: 15, 7: 133, 9: 2025, 11: 37851}
+    published.update({n: 0 for n in (2, 4, 6, 8)})
+    for n, want in published.items():
+        square = cyclic_square(n)
+        assert count_transversals(square) == want
+        assert count_rainbow_matchings(latin_to_graph(square), n) == want
 
 
 def test_ryser_desk_scale():

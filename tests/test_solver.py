@@ -148,6 +148,26 @@ def test_count_perfect_on_k33_matches_transversals():
     assert count_rainbow_matchings(k33_cyclic(), 3) == 3
 
 
+def test_count_budget_boundary_is_exact():
+    # The counting tree of the cyclic K5,5 has 61 nodes; the search may
+    # visit exactly node_budget of them.
+    g = cyclic_knn(5)
+    assert count_rainbow_matchings(g, 5, node_budget=61) == 15
+    with pytest.raises(BudgetExceeded):
+        count_rainbow_matchings(g, 5, node_budget=60)
+
+
+def test_count_on_a_graph_wider_than_a_machine_word():
+    # 150 disjoint edges on 300 vertices, ten colours of 15 edges each:
+    # every pair of distinct colours gives a size-2 rainbow matching.
+    g = build_graph(300, [(2 * i, 2 * i + 1, i % 10 + 1) for i in range(150)])
+    assert count_rainbow_matchings(g, 2) == 150 * 149 // 2 - 10 * (15 * 14 // 2)
+    # The cyclic K5,5 on the top ten of 300 vertices, below 290 isolated
+    # ones that must each be left unmatched.
+    k55 = [(290 + i, 295 + j, (i + j) % 5 + 1) for i in range(5) for j in range(5)]
+    assert count_rainbow_matchings(build_graph(300, k55), 5) == 15
+
+
 # ------------------------------------------------------------- determinism
 
 def test_identical_runs_identical_traces():
@@ -214,6 +234,14 @@ def test_decision_agrees_with_oracle(g, k):
 @settings(max_examples=60, deadline=None)
 @given(proper_graphs(max_n=7, max_m=10), st.integers(min_value=0, max_value=3))
 def test_count_agrees_with_oracle(g, size):
+    assert count_rainbow_matchings(g, size) == brute_count_rainbow(g, size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(proper_graphs(max_n=9), st.integers(min_value=0, max_value=4))
+def test_count_agrees_with_oracle_on_general_graphs(g, size):
+    # Graphs with odd cycles, and sizes below a perfect matching, so that
+    # the search must also leave vertices unmatched.
     assert count_rainbow_matchings(g, size) == brute_count_rainbow(g, size)
 
 
