@@ -8,7 +8,8 @@ or nothing fires:
 * mono: trade a matched edge for a same-coloured free edge plus a
   fresh-coloured pendant at one of the freed endpoints;
 * exchange: remove up to ``k`` matched edges and insert ``k + 1``
-  replacement edges keeping the matching rainbow;
+  replacement edges keeping the matching rainbow, found by the solver's
+  exact core in decide mode from the kept edges;
 * vertex reduce: delete one vertex of very high degree, solve the smaller
   target recursively, and extend back through that vertex by pigeonhole.
 
@@ -23,7 +24,8 @@ from itertools import combinations
 
 from .errors import BudgetExceeded, RecursionBudget
 from .graphs import Edge, EdgeColoredGraph, Matching
-from .solver import SolveResult, rainbow_matching_at_least
+from .solver import (SolveResult, _colour_bits, _matching, _options, _search,
+                     rainbow_matching_at_least)
 
 RULE_SEED = "R-seed"
 RULE_DIRECT = "R-direct"
@@ -87,72 +89,46 @@ def rule_exchange(graph: EdgeColoredGraph, matching: Matching, depth: int = 3,
     """Remove up to ``depth`` matched edges, insert one more than removed.
 
     Removal subsets are tried smallest first, in index order over the
-    matched edges; replacement edges are searched lexicographically by
-    edge id.  Returns the first strictly larger rainbow matching found.
-    ``candidate_cap`` bounds the replacement-search node count and raises
+    matched edges.  For each, the solver's exact core decides whether
+    ``removals + 1`` edges fit beside the kept ones, and its first witness
+    is taken.  Returns the first strictly larger rainbow matching found.
+    ``candidate_cap`` bounds the total core node count and raises
     :class:`BudgetExceeded` when hit.
     """
     counter = [0]
-    result = None
+    table = _exchange_table(graph)
     for d in range(1, depth + 1):
-        result = _exchange_exact(graph, matching, d, counter, candidate_cap)
+        result = _exchange_exact(graph, matching, d, counter, candidate_cap, table)
         if result is not None:
             return result
     return None
 
 
-def _exchange_exact(graph, matching, removals, counter, cap):
+def _exchange_table(graph):
+    colour_bit = _colour_bits(graph)
+    return _options(graph), colour_bit, (1 << len(colour_bit)) - 1
+
+
+def _exchange_exact(graph, matching, removals, counter, cap, table):
     medges = matching.edges
     if removals > len(medges):
         return None
-    in_matching = set(medges)
+    options, colour_bit, colours = table
     for removed_idx in combinations(range(len(medges)), removals):
         removed = set(removed_idx)
         keep = [medges[i] for i in range(len(medges)) if i not in removed]
-        used_v = {x for e in keep for x in (e[0], e[1])}
-        used_c = {e[2] for e in keep}
-        candidates = [
-            e for e in graph.edges
-            if e not in in_matching
-            and e[0] not in used_v and e[1] not in used_v and e[2] not in used_c
-        ]
-        added = _first_disjoint_rainbow(candidates, removals + 1, counter, cap)
-        if added is not None:
-            return Matching(keep + added)
+        used_v = used_c = 0
+        for u, v, c in keep:
+            used_v |= (1 << u) | (1 << v)
+            used_c |= colour_bit[c]
+        run = _search(options, colours, removals + 1,
+                      None if cap is None else cap - counter[0], used_v, used_c)
+        counter[0] += run.nodes
+        if run.size > removals:
+            return Matching(keep + list(_matching(graph, run.best)))
+        if run.budget_hit:
+            raise BudgetExceeded(f"exchange candidate cap {cap} hit")
     return None
-
-
-def _first_disjoint_rainbow(candidates, need, counter, cap):
-    # Lexicographically first subset of `need` mutually compatible edges.
-    chosen: list[Edge] = []
-    used_v: set[int] = set()
-    used_c: set[int] = set()
-
-    def go(start: int) -> bool:
-        if len(chosen) == need:
-            return True
-        if len(candidates) - start < need - len(chosen):
-            return False
-        for j in range(start, len(candidates)):
-            counter[0] += 1
-            if cap is not None and counter[0] > cap:
-                raise BudgetExceeded(f"exchange candidate cap {cap} hit")
-            u, v, c = candidates[j]
-            if u in used_v or v in used_v or c in used_c:
-                continue
-            chosen.append(candidates[j])
-            used_v.add(u)
-            used_v.add(v)
-            used_c.add(c)
-            if go(j + 1):
-                return True
-            used_c.discard(c)
-            used_v.discard(v)
-            used_v.discard(u)
-            chosen.pop()
-        return False
-
-    return list(chosen) if go(0) else None
 
 
 def rule_mono(graph: EdgeColoredGraph, matching: Matching) -> Matching | None:
@@ -286,9 +262,10 @@ def _next_move(graph, current, max_depth, cap, node_budget, recursion_budget,
     found = rule_mono(graph, current)
     if found is not None:
         return found, RULE_MONO, ""
+    table = _exchange_table(graph)
     for depth in range(1, max_depth + 1):
         try:
-            found = _exchange_exact(graph, current, depth, counter, cap)
+            found = _exchange_exact(graph, current, depth, counter, cap, table)
         except BudgetExceeded:
             return None, rule_exchange_name(depth), "candidate cap hit"
         if found is not None:

@@ -24,45 +24,54 @@ class EdgeColoredGraph:
     Construction validates simplicity (no loops, no repeated vertex pair)
     and properness (edges sharing a vertex have distinct colours); invalid
     input raises :class:`LoopEdge`, :class:`DuplicateEdge` or
-    :class:`ImproperColoring`.  Input edge order never matters: edges are
-    normalised to ``u < v`` and stored sorted, so equal graphs compare and
-    serialise identically.
+    :class:`ImproperColoring`.  The vertex count, the endpoints and the
+    colours must be ``int`` exactly (not float, not bool), or
+    :class:`ValueError` names the offending value.  Input edge order never
+    matters: edges are normalised to ``u < v`` and stored sorted, so equal
+    graphs compare and serialise identically.  When the sorted edges hold
+    several repeated pairs or colour clashes, the first one is reported.
     """
 
     __slots__ = ("n", "edges", "incidence", "_color_by_pair")
 
     def __init__(self, n: int, edges) -> None:
+        if type(n) is not int:
+            raise ValueError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         normalised: list[Edge] = []
         for u, v, color in edges:
+            # ``type(x) is int``, not isinstance: bool is a subclass of int.
+            if type(u) is not int or type(v) is not int:
+                bad = v if type(u) is int else u
+                raise ValueError(f"vertex must be an integer, got {bad!r}")
             if u == v:
                 raise LoopEdge(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
-            if color < 1:
-                raise ValueError(f"colour must be a positive integer, got {color}")
-            if u > v:
-                u, v = v, u
-            normalised.append((int(u), int(v), int(color)))
+            if type(color) is not int or color < 1:
+                raise ValueError(f"colour must be a positive integer, got {color!r}")
+            normalised.append((u, v, color) if u < v else (v, u, color))
         normalised.sort()
+        # One pass in sorted order checks each edge for a repeated pair and
+        # against the colours already seen at both of its endpoints.
         by_pair: dict[tuple[int, int], int] = {}
-        for u, v, color in normalised:
-            if (u, v) in by_pair:
-                raise DuplicateEdge(f"vertex pair ({u}, {v}) appears more than once")
-            by_pair[(u, v)] = color
         incidence: list[list[int]] = [[] for _ in range(n)]
-        for idx, (u, v, _color) in enumerate(normalised):
+        seen: list[dict[int, Edge]] = [{} for _ in range(n)]
+        for idx, edge in enumerate(normalised):
+            u, v, color = edge
+            pair = (u, v)
+            if pair in by_pair:
+                raise DuplicateEdge(f"vertex pair ({u}, {v}) appears more than once")
+            by_pair[pair] = color
+            at_u = seen[u]
+            at_v = seen[v]
+            clash = at_u.get(color) or at_v.get(color)
+            if clash is not None:
+                raise ImproperColoring(clash, edge)
+            at_u[color] = at_v[color] = edge
             incidence[u].append(idx)
             incidence[v].append(idx)
-        for idxs in incidence:
-            seen: dict[int, Edge] = {}
-            for idx in idxs:
-                edge = normalised[idx]
-                clash = seen.get(edge[2])
-                if clash is not None:
-                    raise ImproperColoring(clash, edge)
-                seen[edge[2]] = edge
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(normalised)
         self.incidence: tuple[tuple[int, ...], ...] = tuple(tuple(ix) for ix in incidence)

@@ -32,22 +32,26 @@ def _parse_text(text: str) -> EdgeColoredGraph:
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "g":
+        if parts[0] == "e":
+            if n is None:
+                raise ParseError("edge record before 'g' header", lineno)
+            if len(parts) != 4:
+                raise ParseError("expected 'e <u> <v> <colour>'", lineno)
+            try:
+                edges.append((int(parts[1]), int(parts[2]), int(parts[3])))
+            except ValueError:
+                for token in parts[1:]:
+                    _int(token, lineno)   # raises on the first bad field
+                raise
+        elif parts[0] == "g":
             if n is not None:
                 raise ParseError("repeated 'g' header", lineno)
             if len(parts) != 2:
                 raise ParseError("expected 'g <n>'", lineno)
             n = _int(parts[1], lineno)
-        elif parts[0] == "e":
-            if n is None:
-                raise ParseError("edge record before 'g' header", lineno)
-            if len(parts) != 4:
-                raise ParseError("expected 'e <u> <v> <colour>'", lineno)
-            edges.append(tuple(_int(p, lineno) for p in parts[1:]))
         else:
             raise ParseError(f"unknown record type {parts[0]!r}", lineno)
     if n is None:

@@ -1,30 +1,31 @@
 """Exact rainbow-matching search and counting over int bitmasks.
 
-Max and decide share one include/exclude branch and bound.  It walks the
-edges in the endpoint degree-sum order (descending, ties by edge id),
-takes each edge if it is still compatible, and explores the branch with
-the edge before the branch without it.  The state of a node is a few
-ints: the position in the order, the matching size, and the used
-vertices and used colours as bitmasks.  The witness is a linked chain of
-edge ids, shared by every node below it.  A branch is cut when the
-matching built so far plus an optimistic completion bound cannot reach
-what is needed (the incumbent plus one, or the target size).  The bound
-is the smaller of half the free endpoints ahead and the fresh colours
-ahead; suffix masks of the endpoints and colours from each position
-onwards make it two popcounts per node.
+One vertex-branching branch and bound serves max, decide and the rule
+engine's exchange.  At each node it takes the lowest free vertex and
+branches on how that vertex is covered: by one of its compatible edges
+(lowest edge id first), or by none.  Every matching has exactly one such
+choice at every vertex, so the tree holds each matching once.  The state
+of a node is a few ints: the matching size, the used-or-skipped vertices
+and the used colours as bitmasks.  The witness is a linked chain of edge
+ids, shared by every node below it.  A node is cut when the matching
+built so far plus an optimistic completion bound cannot reach what is
+needed (the incumbent plus one, or the target size).  The bound is the
+smaller of half the free vertices and the unused colours, two popcounts
+per node.  The "leave it unmatched" child is pushed only while the other
+free vertices can still hold what is needed.
 
-Counting has its own search.  At each node it takes the lowest free
-vertex and branches on how that vertex is covered: by one of its
-compatible edges, or by none.  Every matching has exactly one such
-choice at every vertex, so each is counted once.  On a Latin square's
-K_{n,n} encoding this is the row-by-row walk of ``count_transversals``.
+Counting walks the same tree without a colour cut or an incumbent, and
+counts the last edge of each matching in place rather than visiting it.
+On a Latin square's K_{n,n} encoding this is the row-by-row walk of
+``count_transversals``.
 
-Colour bits are indexed by the colour's rank among the graph's colours,
-never by the colour value itself.  Both searches keep an explicit stack,
-so no graph is too deep for them and the interpreter's recursion limit
-is never touched.  They are deterministic: identical inputs give
-identical trees, traces and node counts.  Each call is single-threaded;
-calls on different graphs can run concurrently.
+Both walks read one per-vertex option table.  Colour bits are indexed by
+the colour's rank among the graph's colours, never by the colour value
+itself.  Each walk keeps an explicit stack, so no graph is too deep for
+it and the interpreter's recursion limit is never touched.  They are
+deterministic: identical inputs give identical trees, traces and node
+counts.  Each call is single-threaded; calls on different graphs can run
+concurrently.
 """
 
 from __future__ import annotations
@@ -81,73 +82,75 @@ def _colour_bits(graph: EdgeColoredGraph) -> dict[int, int]:
     return {c: 1 << r for r, c in enumerate(sorted(graph.colors))}
 
 
-def _search(graph: EdgeColoredGraph, order, target: int | None,
-            node_budget: int | None) -> _Run:
-    """Include/exclude branch and bound over the edges in ``order``.
-
-    With ``target`` None the search maximises; otherwise it stops at the
-    first matching of ``target`` edges.  The search stops before it would
-    visit node ``node_budget + 1``.
-    """
-    edges = graph.edges
+def _options(graph: EdgeColoredGraph) -> list[tuple]:
+    """Per vertex, (other endpoint's bit, colour bit, edge id) for each
+    incident edge, in increasing edge id."""
     colour_bit = _colour_bits(graph)
-    m = len(order)
-    vmask = [0] * m
-    cmask = [0] * m
-    suf_v = [0] * (m + 1)
-    suf_c = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        u, v, c = edges[order[i]]
-        vmask[i] = (1 << u) | (1 << v)
-        cmask[i] = colour_bit[c]
-        suf_v[i] = suf_v[i + 1] | vmask[i]
-        suf_c[i] = suf_c[i + 1] | cmask[i]
+    edges = graph.edges
+    options = []
+    for v, idxs in enumerate(graph.incidence):
+        opts = []
+        for idx in idxs:
+            a, b, c = edges[idx]
+            opts.append((1 << (b if a == v else a), colour_bit[c], idx))
+        options.append(tuple(opts))
+    return options
+
+
+def _search(options, colours: int, target: int | None,
+            node_budget: int | None, used_v: int = 0, used_c: int = 0) -> _Run:
+    """Vertex-branching branch and bound over the option table.
+
+    ``colours`` is the mask of every colour bit.  With ``target`` None the
+    search maximises; otherwise it stops at the first matching of
+    ``target`` edges.  ``used_v`` and ``used_c`` mark vertices and colours
+    already taken, and the sizes counted are of the edges added to them.
+    The search stops before it would visit node ``node_budget + 1``.
+    """
+    everyone = (1 << len(options)) - 1
     limit = math.inf if node_budget is None else node_budget
     maximise = target is None
     need = 1 if maximise else target
     nodes = best_size = 0
     best = None
     events: list[SearchEvent] = []
-    # A frame is (position, size, used vertices, used colours, witness
-    # chain).  The include child is walked at once and the exclude child
-    # pushed, so the stack keeps the recursive visiting order.
-    stack = [(0, 0, 0, 0, None)]
+    # A node is (size, used-or-skipped vertices, used colours, witness chain).
+    stack = [(0, used_v, used_c, None)]
     while stack:
-        i, size, used_v, used_c, chain = stack.pop()
-        while True:
-            if nodes >= limit:
-                events.append(SearchEvent("budget", size, nodes))
-                return _Run(best, best_size, nodes, events, True)
-            nodes += 1
-            if size > best_size:
-                best, best_size = chain, size
-                events.append(SearchEvent("incumbent", size, nodes))
-                if maximise:
-                    need = size + 1
-            if size >= need:   # a matching of the target size
+        size, used_v, used_c, chain = stack.pop()
+        if nodes >= limit:
+            events.append(SearchEvent("budget", size, nodes))
+            return _Run(best, best_size, nodes, events, True)
+        nodes += 1
+        if size > best_size:
+            best, best_size = chain, size
+            events.append(SearchEvent("incumbent", size, nodes))
+            if maximise:
+                need = size + 1
+            elif size >= need:   # a matching of the target size
                 return _Run(best, best_size, nodes, events, False)
-            # Cut unless the fresh colours ahead and half the free
-            # endpoints ahead can both still reach ``need``.
-            if (size + (suf_c[i] & ~used_c).bit_count() < need
-                    or size + ((suf_v[i] & ~used_v).bit_count() >> 1) < need):
-                break
-            vm = vmask[i]
-            cm = cmask[i]
-            if not (used_v & vm or used_c & cm):
-                stack.append((i + 1, size, used_v, used_c, chain))
-                chain = (order[i], chain)
-                size += 1
-                used_v |= vm
-                used_c |= cm
-            i += 1
+        free = everyone ^ used_v
+        room = free.bit_count()
+        # Cut unless half the free vertices and the unused colours can
+        # both still reach ``need``.
+        if (size + (room >> 1) < need
+                or size + (colours & ~used_c).bit_count() < need):
+            continue
+        low = free & -free
+        if size + ((room - 1) >> 1) >= need:
+            stack.append((size, used_v | low, used_c, chain))
+        size += 1
+        used_v |= low
+        for vb, cb, idx in reversed(options[low.bit_length() - 1]):
+            if free & vb and not used_c & cb:
+                stack.append((size, used_v | vb, used_c | cb, (idx, chain)))
     return _Run(best, best_size, nodes, events, False)
 
 
-def _degree_order(graph: EdgeColoredGraph) -> list[int]:
-    edges = graph.edges
-    deg = graph.degrees()
-    return sorted(range(len(edges)),
-                  key=lambda i: (-(deg[edges[i][0]] + deg[edges[i][1]]), i))
+def _solve(graph: EdgeColoredGraph, target: int | None,
+           node_budget: int | None) -> _Run:
+    colours = (1 << len(graph.colors)) - 1
+    return _search(_options(graph), colours, target, node_budget)
 
 
 def _matching(graph: EdgeColoredGraph, chain) -> Matching:
@@ -165,7 +168,7 @@ def max_rainbow_matching(graph: EdgeColoredGraph,
     With a node budget the search may stop early; the result then carries
     the incumbent with ``optimal=False``.
     """
-    run = _search(graph, _degree_order(graph), None, node_budget)
+    run = _solve(graph, None, node_budget)
     return SolveResult(
         best=_matching(graph, run.best),
         size=run.size,
@@ -200,7 +203,7 @@ def solve_decision(graph: EdgeColoredGraph, k: int,
     """
     if k <= 0:
         return SolveResult(Matching(), 0, True, 0, ())
-    run = _search(graph, _degree_order(graph), k, node_budget)
+    run = _solve(graph, k, node_budget)
     return SolveResult(
         best=_matching(graph, run.best),
         size=run.size,
@@ -234,16 +237,7 @@ def count_rainbow_matchings(graph: EdgeColoredGraph, size: int,
         return 0
     if size == 0:
         return 1
-    colour_bit = _colour_bits(graph)
-    edges = graph.edges
-    # Per vertex, (other endpoint's bit, colour bit) for each incident edge.
-    options = []
-    for v, idxs in enumerate(graph.incidence):
-        opts = []
-        for idx in idxs:
-            a, b, c = edges[idx]
-            opts.append((1 << (b if a == v else a), colour_bit[c]))
-        options.append(tuple(opts))
+    options = _options(graph)
     everyone = (1 << graph.n) - 1
     limit = math.inf if node_budget is None else node_budget
     nodes = count = 0
@@ -263,13 +257,13 @@ def count_rainbow_matchings(graph: EdgeColoredGraph, size: int,
         if (room - 1) >> 1 >= need:
             stack.append((need, used_v | low, used_c))
         if need == 1:
-            for vb, cb in opts:
+            for vb, cb, _idx in opts:
                 if free & vb and not used_c & cb:
                     count += 1
         else:
             need -= 1
             used_v |= low
-            for vb, cb in opts:
+            for vb, cb, _idx in opts:
                 if free & vb and not used_c & cb:
                     stack.append((need, used_v | vb, used_c | cb))
     return count

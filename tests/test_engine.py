@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +115,43 @@ def test_exchange_absent_from_maximum_matching(g):
     res = max_rainbow_matching(g)
     for depth in (1, 2, 3):
         assert rule_exchange(g, res.best, depth) is None
+
+
+def _maximal_rainbow(g, order):
+    used_v, used_c, chosen = set(), set(), []
+    for u, v, c in (g.edges[i] for i in order):
+        if u not in used_v and v not in used_v and c not in used_c:
+            chosen.append((u, v, c))
+            used_v |= {u, v}
+            used_c.add(c)
+    return Matching(chosen)
+
+
+def _brute_exchange_exists(g, m, depth):
+    # Some rainbow matching one larger than m that drops at most depth of
+    # m's edges, by scanning every edge subset of that size.
+    for subset in itertools.combinations(g.edges, len(m) + 1):
+        other = Matching(subset)
+        if (other.is_vertex_disjoint() and other.has_distinct_colors()
+                and len(set(m.edges) - set(subset)) <= depth):
+            return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(proper_graphs(max_n=7, max_m=10), st.integers(min_value=1, max_value=3),
+       st.randoms(use_true_random=False))
+def test_exchange_fires_exactly_when_brute_force_finds_a_swap(g, depth, rnd):
+    # From a maximal rainbow matching (the only kind the engine hands the
+    # rule), any larger matching must drop at least one matched edge.
+    order = list(range(len(g.edges)))
+    rnd.shuffle(order)
+    m = _maximal_rainbow(g, order)
+    out = rule_exchange(g, m, depth)
+    assert (out is not None) == _brute_exchange_exists(g, m, depth)
+    if out is not None:
+        assert is_rainbow_matching(g, out) and len(out) == len(m) + 1
+        assert len(set(m.edges) - set(out.edges)) <= depth
 
 
 # --------------------------------------------------------------- rule_mono

@@ -71,6 +71,23 @@ def test_nonpositive_color_rejected():
         build_graph(2, [(0, 1, 0)])
 
 
+@pytest.mark.parametrize("n, edge, named", [
+    (3, (0, 1, 2.7), "2.7"),     # was stored as colour 2
+    (3, (0, True, 2), "True"),   # was stored as (0, 1, 2)
+    (3, (0.0, 1, 1), "0.0"),     # was accepted
+    (3, (0, 1, True), "True"),
+])
+def test_non_integer_values_rejected_by_name(n, edge, named):
+    with pytest.raises(ValueError, match=named):
+        build_graph(n, [edge])
+
+
+@pytest.mark.parametrize("n", [3.0, True, "3"])
+def test_non_integer_vertex_count_rejected(n):
+    with pytest.raises(ValueError, match=repr(n)):
+        build_graph(n, [])
+
+
 def test_edges_normalised_lower_vertex_first():
     g = build_graph(3, [(2, 0, 1)])
     assert g.edges == ((0, 2, 1),)

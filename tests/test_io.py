@@ -44,9 +44,12 @@ def test_parse_error_reports_line_number():
 
 
 def test_parse_error_on_bad_integer():
-    with pytest.raises(ParseError) as exc:
-        parse_graph("g 3\ne 0 x 1\n")
-    assert "line 2" in str(exc.value)
+    # The first field that is not an integer is named, with its line.
+    for record, token in [("e 0 x 1", "x"), ("e 0 1 y", "y"),
+                          ("e z 1 w", "z"), ("e 0 1 1.5", "1.5")]:
+        with pytest.raises(ParseError) as exc:
+            parse_graph(f"g 3\n{record}\n")
+        assert str(exc.value) == f"line 2: expected an integer, got {token!r}"
 
 
 def test_parse_error_on_missing_header():

@@ -8,12 +8,15 @@ from rainbowmatch import (
     BudgetExceeded,
     Matching,
     SearchEvent,
+    bound_n,
     build_graph,
     count_rainbow_matchings,
+    greedy_proper_coloring,
     is_rainbow_matching,
     max_matching,
     max_rainbow_matching,
     rainbow_matching_at_least,
+    random_graph_min_degree,
     solve_decision,
 )
 
@@ -116,13 +119,13 @@ def test_budget_respected():
 
 def test_budgeted_max_ends_with_a_budget_event():
     g = random_instance(9)
-    for budget in (0, 1, 10, 69):
+    for budget in (0, 1, 10, 19):
         res = max_rainbow_matching(g, node_budget=budget)
         assert not res.optimal
         assert res.nodes_explored == budget
         assert res.trace[-1] == SearchEvent("budget", res.trace[-1].size, budget)
         assert all(e.event == "incumbent" for e in res.trace[:-1])
-    assert max_rainbow_matching(g, node_budget=70).optimal
+    assert max_rainbow_matching(g, node_budget=20).optimal
 
 
 def test_budgeted_count_raises():
@@ -178,23 +181,47 @@ def test_identical_runs_identical_traces():
 
 
 def test_max_trace_is_pinned():
-    # Node count, trace and witness of the include/exclude tree in
-    # degree-sum order; any change to the order or the bound moves them.
+    # Node count, trace and witness of the vertex-branching tree; any
+    # change to the branching order or the bound moves them.
     res = max_rainbow_matching(random_instance(9))
-    assert res.nodes_explored == 70
+    assert res.nodes_explored == 20
     assert [(e.event, e.size, e.node) for e in res.trace] == [
-        ("incumbent", 1, 2), ("incumbent", 2, 7),
-        ("incumbent", 3, 25), ("incumbent", 4, 66)]
+        ("incumbent", 1, 2), ("incumbent", 2, 3),
+        ("incumbent", 3, 6), ("incumbent", 4, 16)]
     assert res.best == Matching([(0, 7, 5), (1, 3, 4), (2, 6, 1), (5, 8, 2)])
 
 
-@pytest.mark.parametrize("n, nodes", [(6, 1_924), (8, 43_493)])
+@pytest.mark.parametrize("n, nodes", [(6, 223), (8, 3_705)])
 def test_even_cyclic_decide_node_counts_are_pinned(n, nodes):
     # The even cyclic K_{n,n} has no rainbow perfect matching, so the
     # decision search runs to exhaustion.
     res = solve_decision(cyclic_knn(n), n)
     assert res.optimal and res.size == n - 1
     assert res.nodes_explored == nodes
+
+
+def test_colour_bound_cuts_when_colours_run_out():
+    # Twelve disjoint edges in three colours: the unused colours prove the
+    # optimum 3 at once, where half the free vertices alone would allow 12.
+    g = build_graph(24, [(2 * i, 2 * i + 1, i % 3 + 1) for i in range(12)])
+    res = max_rainbow_matching(g)
+    assert res.size == 3 and res.optimal and res.nodes_explored == 7
+    res = solve_decision(g, 4)
+    assert res.size == 0 and res.optimal and res.nodes_explored == 1
+
+
+def test_max_at_the_proven_order_for_d8_is_cheap():
+    # n = bound_n(8) = 34: each optimum is a perfect matching of 17 edges.
+    # The include/exclude search this core replaced took over 300,000
+    # nodes on 9 of these 12 graphs.
+    nodes = []
+    for seed in range(12):
+        g = greedy_proper_coloring(random_graph_min_degree(bound_n(8), 8, seed), seed)
+        res = max_rainbow_matching(g, node_budget=100_000)
+        assert res.optimal and res.size == 17
+        assert is_rainbow_matching(g, res.best)
+        nodes.append(res.nodes_explored)
+    assert nodes[9] == 29_953
 
 
 def test_deep_instance_runs_without_touching_the_recursion_limit():
@@ -290,3 +317,16 @@ def test_huge_colour_values_change_nothing(g, size):
     assert a.nodes_explored == b.nodes_explored
     assert a.trace == b.trace
     assert count_rainbow_matchings(g, size) == count_rainbow_matchings(big, size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(proper_graphs(max_n=8, max_m=12), st.randoms(use_true_random=False))
+def test_relabelling_vertices_keeps_every_answer(g, rnd):
+    # The branching order follows vertex ids; the answers must not.
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    h = build_graph(g.n, [(perm[u], perm[v], c) for u, v, c in g.edges])
+    best = max_rainbow_matching(g).size
+    assert max_rainbow_matching(h).size == best
+    for k in range(best + 2):
+        assert (rainbow_matching_at_least(h, k) is not None) == (k <= best)
