@@ -18,9 +18,11 @@ whose colour is unused by M:
 The audit then evaluates a battery of inequalities between those counts.
 ``certify_counting_bound`` shows that the same inequalities force the host
 order below the rainbow-matching threshold of
-:func:`rainbowmatch.graphs.bound_n` for every admissible count tuple.  For
-fixed pair counts the order bound is linear and then concave-quadratic in
-the class size, so it maximises each piece at a few integer candidates in
+:func:`rainbowmatch.graphs.bound_n` for every admissible count tuple.  At
+a fixed good-pair count and class size each nice pair strictly lowers the
+order bound, so only tuples without one are evaluated; for a fixed
+good-pair count the bound is linear and then concave-quadratic in the
+class size, so it maximises each piece at a few integer candidates in
 exact arithmetic instead of scanning every class size.
 """
 
@@ -485,7 +487,7 @@ def applicable_rules(graph: EdgeColoredGraph, matching: Matching,
 
 @dataclass(frozen=True)
 class CertResult:
-    """Outcome of the exhaustive counting-bound certification for one delta."""
+    """Outcome of the counting-bound certification for one delta."""
 
     delta: int
     holds: bool
@@ -527,10 +529,23 @@ def certify_counting_bound(delta: int, a_cap: int | None = None) -> CertResult:
     (a nice pair requires a good one), the class size a in 2..a_cap and the
     least touched count t = max(0, a - delta + 1 - (r+s)/2) allowed by the
     audit bounds; tuples with r + s + t > delta - 1 are not admissible.
-    Each pair (r, s) is maximised over a in closed form.  With p = r + s
-    and B = 2*delta - 2 - 2r - s (not negative, as p <= delta - 1), the
-    admissible sizes are 2 <= a <= min(a_cap, (4*delta - 4 - p) // 2), and
-    on them the doubled bound 2*C + 2*(a-1)*B - (a-2)*2t has two pieces:
+    With p = r + s and B = 2*delta - 2 - 2r - s (not negative, as
+    p <= delta - 1), the admissible sizes are
+    2 <= a <= hi(p) = min(a_cap, (4*delta - 4 - p) // 2), and on them the
+    doubled bound is 2*C + 2*(a-1)*B - (a-2)*2t with C = C(delta, r).
+
+    The nice-pair count drops out.  Fix r and an admissible a, and raise s
+    by one: p rises by one, so hi can only shrink (no new a is admitted),
+    C is unchanged, B falls by one and 2t falls by one while it is
+    positive.  The doubled bound therefore falls by 2*(a-1) when t = 0 and
+    by a when t > 0, strictly in both cases as a >= 2.  So every tuple
+    with s > 0 scores strictly below the admissible tuple (r, s-1, a), and
+    by induction below (r, 0, a): the maximum over all tuples is attained
+    only at s = 0, and the first maximiser in (r, s, a) order is the first
+    one in (r, a) order at s = 0.  Only s = 0 is evaluated.
+
+    For each r the bound at s = 0 is maximised over a in closed form; it
+    has two pieces:
 
     * while a <= (2*delta - 2 + p) // 2, t is 0 and the bound is linear
       and non-decreasing in a, so the piece's right end is a maximiser
@@ -539,15 +554,18 @@ def certify_counting_bound(delta: int, a_cap: int | None = None) -> CertResult:
       quadratic with apex (2B + 2*delta + 2 + p) / 4, so the floor of the
       apex or the integer after it, clipped to the piece, is a maximiser.
 
-    Those candidates are evaluated in increasing a, and pairs in increasing
-    (r, s), with a strict comparison, so ``worst_tuple`` is the first
+    Those candidates are evaluated in increasing a, and r in increasing
+    order, with a strict comparison, so ``worst_tuple`` is the first
     maximiser of the full (r, s, a) grid.  ``tuples_checked`` counts every
-    admissible tuple the maximisation covers.  The a-free constant C has
+    admissible tuple the certificate covers, those with s > 0 through the
+    argument above.  Exactly one pair (r, s) has p = 0 and exactly p pairs
+    (r = 1..p) have a given p >= 1, so with G(p) = max(0, hi(p) - 1) it is
+    G(0) + sum of p * G(p) over p = 1..delta-1.  The a-free constant C has
     two forms, the printed closed form and the one re-derived from the
     nice-edge count (cap minus the counted lower bound); ``forms_agree``
     reports that they are the same polynomial (:func:`constant_forms_agree`).
     Arithmetic is exact: everything is an integer at twice the natural
-    scale.
+    scale.  The work is O(delta).
 
     Beyond ``a_cap`` (default 6*delta) the bound must be provably
     decreasing in a, else :class:`CapUnsafe` is raised: the cap has to
@@ -568,49 +586,48 @@ def certify_counting_bound(delta: int, a_cap: int | None = None) -> CertResult:
             f"a_cap {a_cap} does not clear the activation/stationary points for delta {delta}")
 
     best_val: int | None = None
-    best_pos: tuple[int, int, int, int] | None = None  # (r, s, a, 2t)
+    best_pos: tuple[int, int, int] | None = None  # (r, a, 2t) at s = 0
     checked = 0
     forms_agree = constant_forms_agree()
     for r in range(delta):
         const = const_printed(delta, r)
-        for s in range(delta - r if r else 1):
-            p = r + s
-            hi = min(a_cap, (4 * delta - 4 - p) // 2)
-            if hi < 2:
-                continue
-            checked += hi - 1
-            b = 2 * delta - 2 - 2 * r - s
-            flat_end = (2 * delta - 2 + p) // 2   # last a with t = 0
-            if flat_end >= hi:   # t stays 0 on the whole range
-                candidates = (2 if b == 0 else hi,)
+        # s = 0, so p = r; max(p, 1) pairs (r', s') share this p and hi.
+        hi = min(a_cap, (4 * delta - 4 - r) // 2)
+        if hi < 2:
+            continue
+        checked += max(r, 1) * (hi - 1)
+        b = 2 * delta - 2 - 2 * r
+        flat_end = (2 * delta - 2 + r) // 2   # last a with t = 0
+        if flat_end >= hi:   # t stays 0 on the whole range
+            candidates = (2 if b == 0 else hi,)
+        else:
+            # Quadratic piece flat_end+1..hi: the floor of the apex and
+            # the integer after it, clipped to the piece.
+            apex = (2 * b + 2 * delta + 2 + r) // 4
+            if apex > flat_end:
+                quad = (apex, apex + 1) if apex < hi else (hi,)
             else:
-                # Quadratic piece flat_end+1..hi: the floor of the apex and
-                # the integer after it, clipped to the piece.
-                apex = (2 * b + 2 * delta + 2 + p) // 4
-                if apex > flat_end:
-                    quad = (apex, apex + 1) if apex < hi else (hi,)
-                else:
-                    quad = (flat_end + 1,)
-                if flat_end < 2:
-                    candidates = quad
-                else:
-                    candidates = (2 if b == 0 else flat_end,) + quad
-            for a in candidates:
-                t2 = 2 * (a - delta + 1) - p
-                if t2 < 0:
-                    t2 = 0
-                val = 2 * const + 2 * (a - 1) * b - (a - 2) * t2
-                if best_val is None or val > best_val:
-                    best_val = val
-                    best_pos = (r, s, a, t2)
+                quad = (flat_end + 1,)
+            if flat_end < 2:
+                candidates = quad
+            else:
+                candidates = (2 if b == 0 else flat_end,) + quad
+        for a in candidates:
+            t2 = 2 * (a - delta + 1) - r
+            if t2 < 0:
+                t2 = 0
+            val = 2 * const + 2 * (a - 1) * b - (a - 2) * t2
+            if best_val is None or val > best_val:
+                best_val = val
+                best_pos = (r, a, t2)
     assert best_val is not None and best_pos is not None
     worst_n = Fraction(best_val, 2 * delta)
     threshold = Fraction(9 * delta - 5, 2)
-    worst_tuple = (best_pos[0], best_pos[1], best_pos[2], Fraction(best_pos[3], 2))
+    r, a, t2 = best_pos
     return CertResult(
         delta=delta,
         holds=best_val < delta * (9 * delta - 5) and forms_agree,
-        worst_tuple=worst_tuple,
+        worst_tuple=(r, 0, a, Fraction(t2, 2)),
         worst_n=worst_n,
         margin=threshold - worst_n,
         forms_agree=forms_agree,

@@ -305,11 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("certify", help="exhaustive counting-bound "
-                                       "certification per minimum degree")
+    p = sub.add_parser("certify", help="counting-bound certification per "
+                                       "minimum degree: the exact maximum "
+                                       "over tuples without nice pairs, "
+                                       "which dominate all others")
     p.add_argument("deltas", help="e.g. 5, 2,3,4 or 2..200")
     p.add_argument("--a-cap", type=int, default=None, dest="a_cap",
-                   help="largest monochromatic class size enumerated")
+                   help="largest monochromatic class size covered "
+                        "(default 6*delta)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("latin", help="transversal counting and checks")

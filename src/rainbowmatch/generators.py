@@ -8,6 +8,7 @@ independently.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import InfeasibleDegree, OrderTooLarge
@@ -79,23 +80,24 @@ def greedy_proper_coloring(graph: SimpleGraph, seed: int) -> EdgeColoredGraph:
     """Proper edge colouring: seeded random edge order, least free colour.
 
     Each edge sees at most 2*(max degree - 1) occupied colours, so the
-    palette never exceeds 2*max_degree - 1.
+    palette never exceeds 2*max_degree - 1.  Colour c is bit c - 1 of a
+    per-vertex mask, and the least free colour is the lowest clear bit of
+    the union of the two endpoints' masks.  Vertices are not checked here:
+    :func:`build_graph` rejects an edge outside 0..n-1.
     """
     rng = random.Random(seed)
     order = list(range(len(graph.edges)))
     rng.shuffle(order)
-    at_vertex: dict[int, set[int]] = {}
-    colored = {}
+    at_vertex: defaultdict[int, int] = defaultdict(int)
+    colors = [0] * len(graph.edges)
     for idx in order:
         u, v = graph.edges[idx]
-        used = at_vertex.setdefault(u, set()) | at_vertex.setdefault(v, set())
-        color = 1
-        while color in used:
-            color += 1
-        colored[(u, v)] = color
-        at_vertex[u].add(color)
-        at_vertex[v].add(color)
-    return build_graph(graph.n, [(u, v, colored[(u, v)]) for u, v in graph.edges])
+        used = at_vertex[u] | at_vertex[v]
+        bit = ~used & (used + 1)
+        colors[idx] = bit.bit_length()
+        at_vertex[u] |= bit
+        at_vertex[v] |= bit
+    return build_graph(graph.n, [(u, v, c) for (u, v), c in zip(graph.edges, colors)])
 
 
 def one_factorization(k: int) -> EdgeColoredGraph:

@@ -408,6 +408,115 @@ def test_certify_matches_oracle():
             f"delta={delta} a_cap={a_cap}"
 
 
+def oracle_sweep(delta, a_cap=None):
+    """The O(delta^2) certificate that walked every (r, s) pair, kept
+    verbatim as an oracle for the s = 0 maximisation."""
+    if delta < 2:
+        raise ValueError("delta must be at least 2")
+    if a_cap is None:
+        a_cap = 6 * delta
+    if a_cap < 2:
+        raise ValueError("a_cap must be at least 2")
+    # Tail certificate.  t activates at a = delta - 1 + (r+s)/2, worst case
+    # r + s = delta - 1; the quadratic's stationary point is
+    # (3*delta - 1)/2 - (3r + s)/4, worst case r = s = 0.
+    if 2 * a_cap < 3 * (delta - 1) or 4 * a_cap < 2 * (3 * delta - 1):
+        raise CapUnsafe(
+            f"a_cap {a_cap} does not clear the activation/stationary points for delta {delta}")
+
+    best_val: int | None = None
+    best_pos: tuple[int, int, int, int] | None = None  # (r, s, a, 2t)
+    checked = 0
+    forms_agree = constant_forms_agree()
+    for r in range(delta):
+        const = const_printed(delta, r)
+        for s in range(delta - r if r else 1):
+            p = r + s
+            hi = min(a_cap, (4 * delta - 4 - p) // 2)
+            if hi < 2:
+                continue
+            checked += hi - 1
+            b = 2 * delta - 2 - 2 * r - s
+            flat_end = (2 * delta - 2 + p) // 2   # last a with t = 0
+            if flat_end >= hi:   # t stays 0 on the whole range
+                candidates = (2 if b == 0 else hi,)
+            else:
+                # Quadratic piece flat_end+1..hi: the floor of the apex and
+                # the integer after it, clipped to the piece.
+                apex = (2 * b + 2 * delta + 2 + p) // 4
+                if apex > flat_end:
+                    quad = (apex, apex + 1) if apex < hi else (hi,)
+                else:
+                    quad = (flat_end + 1,)
+                if flat_end < 2:
+                    candidates = quad
+                else:
+                    candidates = (2 if b == 0 else flat_end,) + quad
+            for a in candidates:
+                t2 = 2 * (a - delta + 1) - p
+                if t2 < 0:
+                    t2 = 0
+                val = 2 * const + 2 * (a - 1) * b - (a - 2) * t2
+                if best_val is None or val > best_val:
+                    best_val = val
+                    best_pos = (r, s, a, t2)
+    assert best_val is not None and best_pos is not None
+    worst_n = Fraction(best_val, 2 * delta)
+    threshold = Fraction(9 * delta - 5, 2)
+    worst_tuple = (best_pos[0], best_pos[1], best_pos[2], Fraction(best_pos[3], 2))
+    return CertResult(
+        delta=delta,
+        holds=best_val < delta * (9 * delta - 5) and forms_agree,
+        worst_tuple=worst_tuple,
+        worst_n=worst_n,
+        margin=threshold - worst_n,
+        forms_agree=forms_agree,
+        tuples_checked=checked,
+        a_cap=a_cap,
+    )
+
+
+def test_certify_matches_the_pair_sweep():
+    # Every field, at the default cap, the smallest safe cap and three
+    # custom caps: one just past it, one at 2*delta and one far out.
+    for delta in range(2, 121):
+        safe, _ = smallest_safe_cap(delta)
+        for a_cap in (None, safe, safe + 1, 2 * delta, 10 * delta):
+            assert certify_counting_bound(delta, a_cap) == \
+                oracle_sweep(delta, a_cap), f"delta={delta} a_cap={a_cap}"
+
+
+def doubled_bound(delta, r, s, a):
+    """Twice the order bound times delta at (r, s, a) with the least
+    touched count, or None when the tuple is not admissible."""
+    t2 = max(0, 2 * (a - delta + 1) - (r + s))
+    if 2 * (r + s) + t2 > 2 * (delta - 1):
+        return None
+    return (2 * ((3 * delta - 10 - r) * r + 2 * (delta + 3) * (delta - 1))
+            + 2 * (a - 1) * (2 * delta - 2 - 2 * r - s) - (a - 2) * t2)
+
+
+def test_each_nice_pair_strictly_lowers_the_bound():
+    # The domination that lets the certificate evaluate s = 0 only: an
+    # admissible (r, s, a) with s >= 1 has an admissible (r, s - 1, a)
+    # that scores strictly higher.  The grid's admissible tuples are also
+    # counted, against the certificate's closed-form count.
+    for delta in range(2, 26):
+        admissible = 0
+        for r in range(delta):
+            for s in range(delta - r if r else 1):
+                for a in range(2, 6 * delta + 1):
+                    value = doubled_bound(delta, r, s, a)
+                    if value is None:
+                        continue
+                    admissible += 1
+                    if s:
+                        above = doubled_bound(delta, r, s - 1, a)
+                        assert above is not None and value < above, \
+                            f"delta={delta} (r, s, a)=({r}, {s}, {a})"
+        assert admissible == certify_counting_bound(delta).tuples_checked
+
+
 def test_constant_forms_agree_on_a_grid():
     # Both forms have degree <= 2 in each of delta, r and s, so agreement
     # on three distinct values per variable proves the identity.

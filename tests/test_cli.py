@@ -207,6 +207,23 @@ def test_latin_requires_exactly_one_source(capsys):
     assert main(["latin", "--file", "/nonexistent/sq.txt"]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "2\n1 2\n1 2\n",          # repeated row
+    "3\n1 2 3\n2 3\n3 1 2\n",  # short row
+    "2\n1 2\n2 x\n",          # bad symbol
+    "two\n1 2\n2 1\n",        # bad header
+    "0\n",                     # empty square
+    "",
+])
+def test_latin_file_with_bad_square_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main(["latin", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 # -------------------------------------------------------------------- audit
 
 def test_audit_stuck_instance(k4_file, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from collections import Counter
 
 import pytest
@@ -5,15 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowmatch import (
+    CampaignConfig,
     InfeasibleDegree,
     OrderTooLarge,
+    cells_to_csv,
     color_classes,
     color_profile,
     greedy_proper_coloring,
+    instances_to_csv,
     min_degree,
     one_factorization,
     random_graph_min_degree,
     random_latin,
+    run_campaign,
 )
 
 from conftest import independent_is_proper
@@ -98,6 +104,55 @@ def test_greedy_palette_stays_under_twice_max_degree():
         g = greedy_proper_coloring(base, seed)
         max_deg = max(degrees(base))
         assert max(g.colors) <= 2 * max_deg - 1
+
+
+def set_based_coloring(graph, seed):
+    """The colouring as first written: same shuffle, per-vertex colour sets,
+    least free colour found by counting up from 1."""
+    rng = random.Random(seed)
+    order = list(range(len(graph.edges)))
+    rng.shuffle(order)
+    at_vertex = {}
+    colored = {}
+    for idx in order:
+        u, v = graph.edges[idx]
+        used = at_vertex.setdefault(u, set()) | at_vertex.setdefault(v, set())
+        color = 1
+        while color in used:
+            color += 1
+        colored[(u, v)] = color
+        at_vertex[u].add(color)
+        at_vertex[v].add(color)
+    return tuple(sorted((u, v, colored[(u, v)]) for u, v in graph.edges))
+
+
+def test_greedy_coloring_matches_set_based_reference():
+    # The generator configurations of acceptance 7, plus denser graphs
+    # whose palettes run past a few bits.
+    for seed in range(2_000):
+        n = 5 + seed % 8
+        delta = 1 + seed % min(4, n - 1)
+        base = random_graph_min_degree(n, delta, seed)
+        assert greedy_proper_coloring(base, seed).edges == \
+            set_based_coloring(base, seed), f"seed {seed}"
+    for seed in range(20):
+        base = random_graph_min_degree(40, 12, seed, extra_edge_prob=0.5)
+        assert greedy_proper_coloring(base, seed).edges == \
+            set_based_coloring(base, seed), f"dense seed {seed}"
+
+
+def test_small_campaign_files_are_pinned():
+    # sha256 of both CSVs, taken before the colouring used bitmasks.  The
+    # files hold every colouring's solver node count and engine steps, so
+    # a change to the colouring, the solver tree or the engine shows here.
+    res = run_campaign(CampaignConfig(deltas=(2, 3, 4), samples=8,
+                                      recolorings=2, master_seed=11))
+    digests = [hashlib.sha256(text.encode()).hexdigest()
+               for text in (cells_to_csv(res), instances_to_csv(res))]
+    assert digests == [
+        "ac37be6bbfb90980d67f4da2b652cca370495d6aa187f3239c46a4920b09a8e9",
+        "ce6eac545ec6eceb6f512d75066ee6324b12805574a84d4338fe3cf52688c3fd",
+    ]
 
 
 def test_greedy_coloring_small_literals():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,6 +167,53 @@ def test_parse_square_errors():
         parse_square("2\n1 2\n2 x\n")      # bad symbol
     with pytest.raises(ParseError):
         parse_square("")
+
+
+def malformed_square_texts(count, seed):
+    """Seeded corruptions of valid square texts: cut, repeat, swap or drop
+    lines, splice in foreign tokens and bytes, change the header."""
+    rng = random.Random(seed)
+    tokens = ["x", "", "-1", "0", "1.5", "1e3", "nan", "10**9", "#", "\t",
+              "99999999999999999999", "\u00b2", "\x00", "2 2", "--", "1_0"]
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        lines = dumps_square(random_latin(n, rng.randrange(10_000))).splitlines()
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.randrange(7)
+            lines = lines or [""]
+            i = rng.randrange(len(lines))
+            if kind == 0:
+                del lines[i]
+            elif kind == 1:
+                lines.insert(i, lines[rng.randrange(len(lines))])
+            elif kind == 2:
+                j = rng.randrange(len(lines))
+                lines[i], lines[j] = lines[j], lines[i]
+            elif kind == 3:
+                cells = lines[i].split() or [""]
+                cells[rng.randrange(len(cells))] = rng.choice(tokens)
+                lines[i] = " ".join(cells)
+            elif kind == 4:
+                lines[0] = rng.choice(tokens + [str(n + 1), str(n - 1), str(-n)])
+            elif kind == 5:
+                k = rng.randrange(len(lines[i]) + 1)
+                lines[i] = lines[i][:k] + chr(rng.randrange(1, 0x250)) + lines[i][k:]
+            else:
+                lines[i] = lines[i][:rng.randrange(len(lines[i]) + 1)]
+        yield "\n".join(lines) + rng.choice(["", "\n", "\r\n"])
+
+
+def test_parse_square_fails_malformed_text_only_with_parse_error():
+    rejected = 0
+    for text in malformed_square_texts(2_000, seed=5):
+        try:
+            square = parse_square(text)
+        except ParseError:
+            rejected += 1
+        else:
+            # Some corruptions leave a valid square (say, two rows swapped).
+            assert parse_square(dumps_square(square)) == square
+    assert rejected >= 1_500
 
 
 # -------------------------------------------------------------- properties
