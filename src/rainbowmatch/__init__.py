@@ -35,15 +35,12 @@ from .errors import (
     WrongColourCount,
 )
 from .graphs import (
-    ColorProfile,
     Edge,
     EdgeColoredGraph,
     Matching,
     bound_n,
     build_graph,
     color_classes,
-    color_profile,
-    diemunsch_bound,
     is_rainbow_matching,
     max_degree,
     min_degree,
@@ -53,7 +50,6 @@ from .solver import (
     SearchEvent,
     SolveResult,
     count_rainbow_matchings,
-    max_matching,
     max_rainbow_matching,
     rainbow_matching_at_least,
     solve_decision,
@@ -126,28 +122,26 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditReport", "BudgetExceeded", "CampaignConfig", "CampaignResult",
-    "CapUnsafe", "CellResult", "CertResult", "ClaimCheck", "ColorProfile",
-    "DuplicateEdge", "Edge", "EdgeColoredGraph", "Error", "ImproperColoring",
+    "CapUnsafe", "CellResult", "CertResult", "ClaimCheck", "DuplicateEdge",
+    "Edge", "EdgeColoredGraph", "Error", "ImproperColoring",
     "InfeasibleDegree", "InstanceRecord", "InvalidState", "LatinSquare",
     "LoopEdge", "MatchedPair", "Matching", "NotCompleteBipartite", "NotStuck",
     "OrderTooLarge", "ParseError", "RecursionBudget", "RuleStep", "ScanRow",
     "SearchEvent", "SimpleGraph", "SolveResult", "UnknownEdge",
     "WrongColourCount", "applicable_rules", "audit_state", "audit_stuck_state",
     "bound_n", "build_graph", "campaign_to_json", "cells_to_csv",
-    "certify_counting_bound", "check_claims",
-    "color_classes", "color_profile", "compute_good_structure",
-    "compute_nice_structure", "compute_t", "count_rainbow_matchings",
-    "count_transversals", "cyclic_square", "derive_seed", "diemunsch_bound",
-    "dump_graph", "dumps_graph", "dumps_square", "graph_to_latin",
-    "instances_to_csv",
-    "greedy_proper_coloring", "greedy_rainbow", "is_rainbow_matching",
-    "latin_to_graph", "lesaulnier_exception", "lesaulnier_threshold",
-    "load_graph", "load_square", "max_degree", "max_matching",
-    "max_rainbow_matching", "min_degree", "one_factorization", "parse_graph",
-    "parse_square", "pick_mono_class", "rainbow_matching_at_least",
-    "random_graph_min_degree", "random_latin", "replay_trace", "rule_direct",
-    "rule_exchange", "rule_mono", "rule_vertex_reduce", "run_campaign",
-    "run_engine", "run_scan", "scan_to_csv", "scan_to_json", "solve_decision",
-    "trace_to_json_lines", "wang_applies", "wang_threshold",
-    "write_campaign_files",
+    "certify_counting_bound", "check_claims", "color_classes",
+    "compute_good_structure", "compute_nice_structure", "compute_t",
+    "count_rainbow_matchings", "count_transversals", "cyclic_square",
+    "derive_seed", "dump_graph", "dumps_graph", "dumps_square",
+    "graph_to_latin", "greedy_proper_coloring", "greedy_rainbow",
+    "instances_to_csv", "is_rainbow_matching", "latin_to_graph",
+    "lesaulnier_exception", "lesaulnier_threshold", "load_graph",
+    "load_square", "max_degree", "max_rainbow_matching", "min_degree",
+    "one_factorization", "parse_graph", "parse_square", "pick_mono_class",
+    "rainbow_matching_at_least", "random_graph_min_degree", "random_latin",
+    "replay_trace", "rule_direct", "rule_exchange", "rule_mono",
+    "rule_vertex_reduce", "run_campaign", "run_engine", "run_scan",
+    "scan_to_csv", "scan_to_json", "solve_decision", "trace_to_json_lines",
+    "wang_applies", "wang_threshold", "write_campaign_files",
 ]

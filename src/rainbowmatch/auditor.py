@@ -38,7 +38,7 @@ from .engine import (
     rule_vertex_reduce,
     run_engine,
 )
-from .errors import CapUnsafe, InvalidState, NotStuck, UnknownEdge
+from .errors import BudgetExceeded, CapUnsafe, InvalidState, NotStuck, UnknownEdge
 from .graphs import (
     Edge,
     EdgeColoredGraph,
@@ -450,19 +450,22 @@ def pick_mono_class(graph: EdgeColoredGraph, matching: Matching) -> Matching:
 
 def audit_stuck_state(graph: EdgeColoredGraph, target: int | None = None,
                       max_exchange_depth: int = 3,
-                      candidate_cap: int | None = None,
                       node_budget: int | None = None):
     """Drive the engine toward ``target`` (default: the minimum degree) and
     audit the stuck state.  Returns ``(report, engine_result)``; raises
-    :class:`NotStuck` when the engine reaches the target."""
+    :class:`NotStuck` when the engine reaches the target and
+    :class:`BudgetExceeded` when a budget stops it before it is stuck."""
     if target is None:
         target = min_degree(graph)
     if target < 1:
         raise ValueError("target must be at least 1")
-    result = run_engine(graph, target, max_exchange_depth, candidate_cap,
+    result = run_engine(graph, target, max_exchange_depth,
                         node_budget=node_budget)
     if result.size >= target:
         raise NotStuck(f"engine reached size {result.size}, target {target}")
+    if result.trace[-1].note:
+        raise BudgetExceeded(f"engine stopped at size {result.size}: "
+                             f"{result.trace[-1].note}")
     mono = pick_mono_class(graph, result.best)
     report = audit_state(graph, result.best, mono)
     return report, result

@@ -262,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="maximum rainbow matching of one instance")
     p.add_argument("file", help="graph file (text or JSON)")
-    p.add_argument("--budget", type=int, default=None, help="node budget")
+    p.add_argument("--budget", type=int, default=None,
+                   help="node budget for the solver and for the engine")
     p.add_argument("--engine", action="store_true",
                    help="also run the rule engine and report its gap")
     p.add_argument("--target", type=int, default=None,
@@ -335,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, default=None,
                    help="target size (default: minimum degree)")
     p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="node budget for the engine")
     p.add_argument("--matching", default=None,
                    help="audit this explicit matching instead of running "
                         "the engine; edge triples like '0,1,1 2,3,4'")

@@ -85,50 +85,45 @@ def rule_direct(graph: EdgeColoredGraph, matching: Matching) -> Matching | None:
 
 
 def rule_exchange(graph: EdgeColoredGraph, matching: Matching, depth: int = 3,
-                  candidate_cap: int | None = None) -> Matching | None:
+                  node_budget: int | None = None) -> Matching | None:
     """Remove up to ``depth`` matched edges, insert one more than removed.
 
     Removal subsets are tried smallest first, in index order over the
     matched edges.  For each, the solver's exact core decides whether
     ``removals + 1`` edges fit beside the kept ones, and its first witness
     is taken.  Returns the first strictly larger rainbow matching found.
-    ``candidate_cap`` bounds the total core node count and raises
-    :class:`BudgetExceeded` when hit.
+    ``node_budget`` bounds the total core node count; hitting it raises
+    :class:`BudgetExceeded`.
     """
-    counter = [0]
-    table = _exchange_table(graph)
-    for d in range(1, depth + 1):
-        result = _exchange_exact(graph, matching, d, counter, candidate_cap, table)
-        if result is not None:
-            return result
-    return None
+    found, _removals, budget_hit = _exchange(graph, matching, depth, node_budget, [0])
+    if budget_hit:
+        raise BudgetExceeded(f"node budget {node_budget} hit in the exchange")
+    return found
 
 
-def _exchange_table(graph):
-    colour_bit = _colour_bits(graph)
-    return _options(graph), colour_bit, (1 << len(colour_bit)) - 1
-
-
-def _exchange_exact(graph, matching, removals, counter, cap, table):
+def _exchange(graph, matching, depth, budget, counter):
+    """The walk behind :func:`rule_exchange`: ``(matching or None, removals,
+    budget hit)``.  Core nodes add up in ``counter[0]``, capped by ``budget``."""
     medges = matching.edges
-    if removals > len(medges):
-        return None
-    options, colour_bit, colours = table
-    for removed_idx in combinations(range(len(medges)), removals):
-        removed = set(removed_idx)
-        keep = [medges[i] for i in range(len(medges)) if i not in removed]
-        used_v = used_c = 0
-        for u, v, c in keep:
-            used_v |= (1 << u) | (1 << v)
-            used_c |= colour_bit[c]
-        run = _search(options, colours, removals + 1,
-                      None if cap is None else cap - counter[0], used_v, used_c)
-        counter[0] += run.nodes
-        if run.size > removals:
-            return Matching(keep + list(_matching(graph, run.best)))
-        if run.budget_hit:
-            raise BudgetExceeded(f"exchange candidate cap {cap} hit")
-    return None
+    options = _options(graph)
+    colour_bit = _colour_bits(graph)
+    colours = (1 << len(colour_bit)) - 1
+    for removals in range(1, min(depth, len(medges)) + 1):
+        for removed_idx in combinations(range(len(medges)), removals):
+            keep = [e for i, e in enumerate(medges) if i not in removed_idx]
+            used_v = used_c = 0
+            for u, v, c in keep:
+                used_v |= (1 << u) | (1 << v)
+                used_c |= colour_bit[c]
+            run = _search(options, colours, removals + 1,
+                          None if budget is None else budget - counter[0],
+                          used_v, used_c)
+            counter[0] += run.nodes
+            if run.size > removals:
+                return Matching(keep + list(_matching(graph, run.best))), removals, False
+            if run.budget_hit:
+                return None, removals, True
+    return None, depth, False
 
 
 def rule_mono(graph: EdgeColoredGraph, matching: Matching) -> Matching | None:
@@ -164,7 +159,6 @@ def rule_mono(graph: EdgeColoredGraph, matching: Matching) -> Matching | None:
 
 def rule_vertex_reduce(graph: EdgeColoredGraph, target: int,
                        max_exchange_depth: int = 3,
-                       candidate_cap: int | None = None,
                        node_budget: int | None = None,
                        recursion_budget: int = 8) -> Matching | None:
     """Reach ``target`` through a vertex of degree above 3*(target - 1).
@@ -190,7 +184,7 @@ def rule_vertex_reduce(graph: EdgeColoredGraph, target: int,
     if recursion_budget <= 0:
         raise RecursionBudget("vertex reduction nested too deeply")
     rest = graph.without_vertex(pivot)
-    sub = run_engine(rest, target - 1, max_exchange_depth, candidate_cap,
+    sub = run_engine(rest, target - 1, max_exchange_depth,
                      node_budget=node_budget,
                      _recursion_budget=recursion_budget - 1).best
     if len(sub) > target - 1:
@@ -212,7 +206,6 @@ def rule_vertex_reduce(graph: EdgeColoredGraph, target: int,
 
 def run_engine(graph: EdgeColoredGraph, target: int,
                max_exchange_depth: int = 3,
-               candidate_cap: int | None = None,
                node_budget: int | None = None,
                _recursion_budget: int = 8) -> SolveResult:
     """Greedy seed, then rules in priority order until target or no rule
@@ -220,8 +213,10 @@ def run_engine(graph: EdgeColoredGraph, target: int,
 
     Priority: direct, mono, exchange at depths 1..max_exchange_depth,
     vertex reduce (aimed one past the current size, so every step nets
-    exactly +1).  Budget exhaustion is recorded in the trace, never
-    raised.  The result is a heuristic: ``optimal`` is always False.
+    exactly +1).  ``node_budget`` caps the run's exchange core nodes
+    (``nodes_explored``) and each exact search of vertex reduce; hitting
+    it adds a note to the trace and is never raised.  The result is a
+    heuristic: ``optimal`` is always False.
     """
     if target <= 0:
         return SolveResult(Matching(), 0, False, 0,
@@ -231,8 +226,8 @@ def run_engine(graph: EdgeColoredGraph, target: int,
     exchange_counter = [0]
     while len(current) < target:
         improved, rule, note = _next_move(
-            graph, current, max_exchange_depth, candidate_cap,
-            node_budget, _recursion_budget, exchange_counter)
+            graph, current, max_exchange_depth, node_budget,
+            _recursion_budget, exchange_counter)
         if note:
             steps.append(RuleStep(rule, (), (), note=note))
         if improved is None:
@@ -254,7 +249,7 @@ def run_engine(graph: EdgeColoredGraph, target: int,
     )
 
 
-def _next_move(graph, current, max_depth, cap, node_budget, recursion_budget,
+def _next_move(graph, current, max_depth, node_budget, recursion_budget,
                counter):
     found = rule_direct(graph, current)
     if found is not None:
@@ -262,16 +257,13 @@ def _next_move(graph, current, max_depth, cap, node_budget, recursion_budget,
     found = rule_mono(graph, current)
     if found is not None:
         return found, RULE_MONO, ""
-    table = _exchange_table(graph)
-    for depth in range(1, max_depth + 1):
-        try:
-            found = _exchange_exact(graph, current, depth, counter, cap, table)
-        except BudgetExceeded:
-            return None, rule_exchange_name(depth), "candidate cap hit"
-        if found is not None:
-            return found, rule_exchange_name(depth), ""
+    found, removals, hit = _exchange(graph, current, max_depth, node_budget, counter)
+    if hit:
+        return None, rule_exchange_name(removals), "node budget hit"
+    if found is not None:
+        return found, rule_exchange_name(removals), ""
     try:
-        found = rule_vertex_reduce(graph, len(current) + 1, max_depth, cap,
+        found = rule_vertex_reduce(graph, len(current) + 1, max_depth,
                                    node_budget, recursion_budget)
     except (RecursionBudget, BudgetExceeded) as exc:
         return None, RULE_VERTEX_REDUCE, str(exc)

@@ -39,7 +39,7 @@ class ParseError(Error):
 
 
 class BudgetExceeded(Error):
-    """A search exhausted its node or candidate budget before finishing."""
+    """A search exhausted its node budget before finishing."""
 
 
 class RecursionBudget(Error):

@@ -1,4 +1,4 @@
-"""Edge-coloured graphs, matchings, and colour statistics.
+"""Edge-coloured graphs, matchings, colour classes and the order bound.
 
 Vertices are dense integer ids ``0..n-1``.  Edges are ``(u, v, colour)``
 triples with ``u < v`` and positive integer colours.  Graphs are immutable
@@ -7,11 +7,6 @@ shared freely between concurrent workers.
 """
 
 from __future__ import annotations
-
-import math
-from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DuplicateEdge, ImproperColoring, LoopEdge, UnknownEdge
 
@@ -172,14 +167,6 @@ class Matching:
         return f"Matching({list(self.edges)!r})"
 
 
-@dataclass(frozen=True)
-class ColorProfile:
-    """Per-colour class sizes plus the largest class size."""
-
-    class_sizes: dict[int, int]
-    max_class_size: int
-
-
 def min_degree(graph: EdgeColoredGraph) -> int:
     if graph.n == 0:
         return 0
@@ -190,12 +177,6 @@ def max_degree(graph: EdgeColoredGraph) -> int:
     if graph.n == 0:
         return 0
     return max(len(ix) for ix in graph.incidence)
-
-
-def color_profile(graph: EdgeColoredGraph) -> ColorProfile:
-    sizes = Counter(e[2] for e in graph.edges)
-    biggest = max(sizes.values()) if sizes else 0
-    return ColorProfile(dict(sizes), biggest)
 
 
 def color_classes(graph: EdgeColoredGraph) -> dict[int, tuple[Edge, ...]]:
@@ -226,13 +207,3 @@ def bound_n(delta: int) -> int:
         raise ValueError("delta must be at least 1")
     return (9 * delta - 4) // 2
 
-
-def diemunsch_bound(delta: int) -> int:
-    """Older published order threshold, kept for comparison tables.
-
-    Evaluates floor(13d/2 - 23/2 + 41/(8d)) + 1 exactly over rationals.
-    """
-    if delta < 1:
-        raise ValueError("delta must be at least 1")
-    value = Fraction(13 * delta, 2) - Fraction(23, 2) + Fraction(41, 8 * delta)
-    return math.floor(value) + 1

@@ -22,10 +22,16 @@ from .graphs import EdgeColoredGraph, build_graph
 
 
 def parse_graph(text: str) -> EdgeColoredGraph:
-    """Parse either format, sniffing JSON by a leading brace."""
-    if text.lstrip().startswith("{"):
-        return _parse_json(text)
-    return _parse_text(text)
+    """Parse either format, sniffing JSON by a leading brace.
+
+    Malformed input, or a value the graph rejects (a vertex out of range, a
+    colour below 1, a non-integer), raises :class:`ParseError`; a loop, a
+    repeated pair or an improper colouring raises the graph's own error."""
+    parse = _parse_json if text.lstrip().startswith("{") else _parse_text
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _parse_text(text: str) -> EdgeColoredGraph:
@@ -73,20 +79,11 @@ def _parse_json(text: str) -> EdgeColoredGraph:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ParseError("JSON graph must be an object with 'n' and 'edges'")
-    if not _is_int(obj["n"]):
-        raise ParseError(f"'n' must be an integer, got {obj['n']!r}")
     edges = obj["edges"]
     if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 3 and all(_is_int(x) for x in e)
-        for e in edges
-    ):
-        raise ParseError("'edges' must be a list of [u, v, colour] integer triples")
+            isinstance(e, list) and len(e) == 3 for e in edges):
+        raise ParseError("'edges' must be a list of [u, v, colour] triples")
     return build_graph(obj["n"], [tuple(e) for e in edges])
-
-
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, a subclass of int; they are not integers here.
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def dumps_graph(graph: EdgeColoredGraph, fmt: str = "text") -> str:

@@ -213,15 +213,6 @@ def solve_decision(graph: EdgeColoredGraph, k: int,
     )
 
 
-def max_matching(graph: EdgeColoredGraph) -> Matching:
-    """Maximum (uncoloured) matching, via a fresh distinct colour per edge."""
-    recolored = EdgeColoredGraph(
-        graph.n, [(u, v, i + 1) for i, (u, v, _c) in enumerate(graph.edges)]
-    )
-    found = max_rainbow_matching(recolored).best
-    return Matching((u, v, graph.color_of(u, v)) for u, v, _c in found.edges)
-
-
 def count_rainbow_matchings(graph: EdgeColoredGraph, size: int,
                             node_budget: int | None = None) -> int:
     """Number of rainbow matchings with exactly ``size`` edges.

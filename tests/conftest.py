@@ -48,6 +48,14 @@ def two_edge_path():
     return build_graph(3, [(0, 1, 1), (1, 2, 2)])
 
 
+def pendant_star():
+    """One edge 01 with three fresh pendants at 0 and one at 1.  Greedy
+    takes (0, 1, 1); the depth-1 exchange then needs 6 core nodes to swap
+    it for two edges."""
+    return build_graph(6, [(0, 1, 1), (0, 2, 2), (0, 3, 3), (0, 4, 4),
+                           (1, 5, 5)])
+
+
 def random_instance(seed: int, max_n: int = 9, max_m: int = 12):
     """Small seeded properly coloured graph; palette biased low so that
     monochromatic classes of size 2+ actually occur."""

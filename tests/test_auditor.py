@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rainbowmatch import (
+    BudgetExceeded,
     CapUnsafe,
     CertResult,
     InvalidState,
@@ -26,7 +27,7 @@ from rainbowmatch import (
 
 from rainbowmatch.auditor import const_counts, const_printed, constant_forms_agree
 
-from conftest import k33_cyclic, k4_one_factorization, random_instance
+from conftest import k33_cyclic, k4_one_factorization, pendant_star, random_instance
 
 
 def stuck_k4_state():
@@ -253,6 +254,15 @@ def test_audit_stuck_state_on_k4():
 def test_audit_not_stuck_on_k33():
     with pytest.raises(NotStuck):
         audit_stuck_state(k33_cyclic(), 3)
+
+
+def test_audit_refuses_a_state_the_budget_stopped():
+    # The depth-1 exchange needs 6 core nodes; with 5 the engine stops at
+    # size 1 on a state the exchange still extends.
+    with pytest.raises(BudgetExceeded):
+        audit_stuck_state(pendant_star(), 2, node_budget=5)
+    with pytest.raises(NotStuck):
+        audit_stuck_state(pendant_star(), 2, node_budget=6)
 
 
 def test_audit_target_must_be_positive():

@@ -11,7 +11,7 @@ from rainbowmatch import dumps_graph, dumps_square, parse_graph
 from rainbowmatch.cli import main
 from rainbowmatch.latin import cyclic_square
 
-from conftest import c4, k4_one_factorization, k33_cyclic
+from conftest import c4, k4_one_factorization, k33_cyclic, pendant_star
 
 
 @pytest.fixture
@@ -57,6 +57,18 @@ def test_solve_engine_trace_lines(tmp_path, capsys):
     assert trace_lines, "expected JSON trace lines"
     for line in trace_lines:
         assert "rule" in json.loads(line)
+
+
+def test_solve_budget_stops_the_engine(tmp_path, capsys):
+    # The depth-1 exchange needs 6 core nodes on this graph.
+    path = tmp_path / "pend.txt"
+    path.write_text(dumps_graph(pendant_star()))
+    assert main(["solve", str(path), "--engine", "--target", "2",
+                 "--budget", "5", "--trace"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "engine 1 of target 2" in lines
+    assert json.loads(lines[-1]) == {"rule": "R-exchange-1", "removed": [],
+                                     "added": [], "note": "node budget hit"}
 
 
 def test_solve_reports_parse_error_with_line(tmp_path, capsys):

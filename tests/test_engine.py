@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -5,11 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowmatch import (
+    BudgetExceeded,
     Matching,
+    bound_n,
     build_graph,
+    greedy_proper_coloring,
     greedy_rainbow,
     is_rainbow_matching,
     max_rainbow_matching,
+    random_graph_min_degree,
     replay_trace,
     rule_direct,
     rule_exchange,
@@ -24,6 +29,7 @@ from conftest import (
     c4,
     k33_cyclic,
     k4_one_factorization,
+    pendant_star,
     random_instance,
 )
 from test_graphs import proper_graphs
@@ -91,9 +97,7 @@ def test_exchange_absent_at_optimum_on_k4():
 def test_exchange_depth_one_fires_on_three_vs_one_good_edges():
     # One matched pair; three fresh pendant edges at one endpoint and one
     # at the other force a one-for-two swap.
-    g = build_graph(6, [(0, 1, 1),
-                        (0, 2, 2), (0, 3, 3), (0, 4, 4),
-                        (1, 5, 5)])
+    g = pendant_star()
     out = rule_exchange(g, Matching([(0, 1, 1)]), 1)
     assert out is not None and len(out) == 2
     assert is_rainbow_matching(g, out)
@@ -255,3 +259,41 @@ def test_engine_sound_and_dominated(g, target):
             running += len(step.added) - len(step.removed)
             assert len(step.added) - len(step.removed) == 1
     assert running == res.size
+
+
+# ------------------------------------------------------------------ budget
+
+def test_exchange_node_budget_raises_before_the_witness():
+    g, m = pendant_star(), Matching([(0, 1, 1)])
+    with pytest.raises(BudgetExceeded):
+        rule_exchange(g, m, 1, node_budget=5)
+    assert len(rule_exchange(g, m, 1, node_budget=6)) == 2
+
+
+def test_engine_node_budget_stops_the_exchange():
+    g = pendant_star()
+    res = run_engine(g, 2, node_budget=5)
+    assert (res.size, res.nodes_explored) == (1, 5)
+    last = res.trace[-1]
+    assert (last.rule, last.note) == ("R-exchange-1", "node budget hit")
+    assert last.added == last.removed == ()
+    res = run_engine(g, 2, node_budget=6)
+    assert (res.size, res.nodes_explored) == (2, 6)
+    assert res.trace[-1].rule == "R-exchange-1" and not res.trace[-1].note
+
+
+def test_engine_traces_are_pinned():
+    # sha256 of every run's size, exchange node count and trace over 1,760
+    # seeded graphs (d = 2..6, n = 2d..bound_n(d), seeds 0..39), taken
+    # before the engine's exchange walk was merged into one loop.  The
+    # corpus has 96 exchange fires and 37 mono fires.
+    digest = hashlib.sha256()
+    for d in range(2, 7):
+        for n in range(2 * d, bound_n(d) + 1):
+            for seed in range(40):
+                g = greedy_proper_coloring(random_graph_min_degree(n, d, seed), seed)
+                res = run_engine(g, d)
+                digest.update(f"{res.size} {res.nodes_explored}\n".encode())
+                digest.update(trace_to_json_lines(res.trace).encode())
+    assert digest.hexdigest() == \
+        "b0c7181b32ac83d0a5b1b9b8f521b039e861f117e30b83e7ab214496f3a1826d"

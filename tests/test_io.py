@@ -79,6 +79,20 @@ def test_json_values_must_be_integers(payload):
         parse_graph(json.dumps(payload))
 
 
+@pytest.mark.parametrize("text", [
+    "g 2\ne 0 5 1\n",
+    "g -1\n",
+    "g 3\ne 0 1 0\n",
+    json.dumps({"n": 2, "edges": [[0, 5, 1]]}),
+    json.dumps({"n": -1, "edges": []}),
+    json.dumps({"n": 3, "edges": [[0, 1, 0]]}),
+], ids=["text-vertex-range", "text-negative-n", "text-colour-zero",
+        "json-vertex-range", "json-negative-n", "json-colour-zero"])
+def test_values_the_graph_rejects_raise_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_graph(text)
+
+
 def test_file_round_trip(tmp_path):
     g = k4_one_factorization()
     path = tmp_path / "k4.txt"

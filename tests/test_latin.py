@@ -11,7 +11,7 @@ from rainbowmatch import (
     ParseError,
     WrongColourCount,
     build_graph,
-    color_profile,
+    color_classes,
     count_rainbow_matchings,
     count_transversals,
     cyclic_square,
@@ -62,9 +62,9 @@ def test_cyclic_squares():
 def test_latin_to_graph_z3_structure():
     g = latin_to_graph(cyclic_square(3))
     assert g.n == 6 and len(g.edges) == 9
-    prof = color_profile(g)
-    assert set(prof.class_sizes) == {1, 2, 3}
-    assert all(size == 3 for size in prof.class_sizes.values())  # perfect matchings
+    classes = color_classes(g)
+    assert set(classes) == {1, 2, 3}
+    assert all(len(es) == 3 for es in classes.values())  # perfect matchings
 
 
 def test_latin_to_graph_order_one():
