@@ -74,10 +74,6 @@ from .auditor import (
     audit_state,
     audit_stuck_state,
     certify_counting_bound,
-    check_claims,
-    compute_good_structure,
-    compute_nice_structure,
-    compute_t,
     pick_mono_class,
 )
 from .latin import (
@@ -130,10 +126,9 @@ __all__ = [
     "SearchEvent", "SimpleGraph", "SolveResult", "UnknownEdge",
     "WrongColourCount", "applicable_rules", "audit_state", "audit_stuck_state",
     "bound_n", "build_graph", "campaign_to_json", "cells_to_csv",
-    "certify_counting_bound", "check_claims", "color_classes",
-    "compute_good_structure", "compute_nice_structure", "compute_t",
-    "count_rainbow_matchings", "count_transversals", "cyclic_square",
-    "derive_seed", "dump_graph", "dumps_graph", "dumps_square",
+    "certify_counting_bound", "color_classes", "count_rainbow_matchings",
+    "count_transversals", "cyclic_square", "derive_seed", "dump_graph",
+    "dumps_graph", "dumps_square",
     "graph_to_latin", "greedy_proper_coloring", "greedy_rainbow",
     "instances_to_csv", "is_rainbow_matching", "latin_to_graph",
     "lesaulnier_exception", "lesaulnier_threshold", "load_graph",

@@ -1,21 +1,32 @@
 """Structural audit of stuck matching states and counting-bound certification.
 
-Given a graph whose rule engine stalled one short of a target size, the
-audit measures the structure that blocks further growth.  With a stuck
-rainbow matching M of size delta - 1 and a largest monochromatic matching
-whose colour is unused by M:
+Given a graph whose rule engine stalled one short of a target size,
+:func:`audit_state` measures the structure that blocks further growth.
+With a stuck rainbow matching M of size delta - 1 and a largest
+monochromatic matching whose colour is unused by M, it makes one pass, in
+the order of its thirteen checks:
 
-* ``uncovered`` is the vertex set missed by M;
-* a *good* edge has a colour unused by M and an endpoint uncovered;
-* a matched vertex is *good* when at least 7 good edges meet it, which
-  orients its pair and extends the uncovered side by its partner;
+* ``uncovered`` is the vertex set missed by M, and a *good* edge has a
+  colour unused by M and an endpoint uncovered; no good edge may lie
+  inside the uncovered set (``matching-maximality``);
+* a matched pair is *good* when at least 7 good edges meet one of its
+  ends, which orients it and extends the uncovered set by its partner;
+  3 good edges at one end forbid any at the other
+  (``good-pair-dichotomy``);
 * a *nice* edge has a colour outside the non-good pairs' colours and an
-  endpoint in the extended uncovered set; *nice* vertices are defined
-  analogously among the remaining pairs;
+  endpoint in the extended set; every good edge is nice
+  (``good-nice-inclusion``) and none lies inside that set
+  (``nice-separation``);
+* *nice* pairs are the remaining pairs promoted by the same rule over nice
+  edges, under the same dichotomy (``nice-pair-dichotomy``);
 * among the leftover pairs, the *mono-touched* ones send an edge of the
-  monochromatic colour into the uncovered set.
+  monochromatic colour into the uncovered set, and their count is bounded
+  by the class size and the other counts (``touched-count-bounds``);
+* last come the inequalities between those counts: the degree cap, the
+  absence of good and nice pair colours inside the extended set, the
+  nice-edge cap, the mono colour multiplicity, the order inequality and
+  the pair-count slack.
 
-The audit then evaluates a battery of inequalities between those counts.
 ``certify_counting_bound`` shows that the same inequalities force the host
 order below the rainbow-matching threshold of
 :func:`rainbowmatch.graphs.bound_n` for every admissible count tuple.  At
@@ -75,8 +86,10 @@ class ClaimCheck:
 class MatchedPair:
     """One matched edge with its audit role.
 
-    ``kind`` is one of good, nice, mono-touched, plain.  ``x`` is the
-    qualifying endpoint when the pair is oriented, otherwise the lower id.
+    ``kind`` is one of good, nice, mono-touched, plain.  On a good or nice
+    pair ``x`` is the end with the larger count (``u`` on a tie), and
+    ``oriented`` says only that end reaches the threshold; otherwise ``x``
+    is the lower id.
     """
 
     x: int
@@ -164,16 +177,43 @@ def _jsonable(value):
     return value
 
 
-def compute_good_structure(graph: EdgeColoredGraph, matching: Matching,
-                           mono: Matching, delta: int | None = None) -> AuditReport:
-    """First audit stage: uncovered set, good edges, good pairs.
+def _promote(pairs: list[MatchedPair], edges, covered: frozenset[int],
+             kind: str) -> dict[int, int]:
+    """Count ``edges`` at each covered vertex and promote every plain pair
+    with GOOD_EDGE_THRESHOLD of them at one end to ``kind``, with x at the
+    larger count.  Returns the counts."""
+    at = dict.fromkeys(covered, 0)
+    for u, v, _ in edges:
+        if u in at:
+            at[u] += 1
+        if v in at:
+            at[v] += 1
+    for p in pairs:
+        ax, ay = at[p.x], at[p.y]
+        if p.kind == "plain" and max(ax, ay) >= GOOD_EDGE_THRESHOLD:
+            p.kind = kind
+            p.oriented = (ax >= GOOD_EDGE_THRESHOLD) != (ay >= GOOD_EDGE_THRESHOLD)
+            if ay > ax:
+                p.x, p.y = p.y, p.x
+    return at
+
+
+def _dichotomy_fails(a: int, b: int) -> bool:
+    return max(a, b) >= DICHOTOMY_THRESHOLD and min(a, b) >= 1
+
+
+def audit_state(graph: EdgeColoredGraph, matching: Matching, mono: Matching,
+                delta: int | None = None) -> AuditReport:
+    """Audit an explicit state: classify its pairs and run the thirteen
+    checks, in one pass in check order.
 
     ``matching`` must be rainbow with exactly ``delta - 1`` edges (delta
     defaults to its size plus one); ``mono`` must be a monochromatic
     matching whose colour the rainbow matching does not use.  Violations
-    raise :class:`InvalidState`.  A good edge lying entirely inside the
-    uncovered set is not an error: it is recorded as a failed
-    ``matching-maximality`` check with the offending edges as witness.
+    raise :class:`InvalidState`.  A failed check is not an error: a good
+    edge lying entirely inside the uncovered set, for instance, is
+    recorded as a failed ``matching-maximality`` check with the offending
+    edges as witness.
     """
     if not is_rainbow_matching(graph, matching):
         raise InvalidState("the matching must be a rainbow matching of the graph")
@@ -197,238 +237,122 @@ def compute_good_structure(graph: EdgeColoredGraph, matching: Matching,
             if not graph.has_edge(u, v, c):
                 raise UnknownEdge(f"edge ({u}, {v}, {c}) is not in the graph")
 
+    n = graph.n
     covered = matching.vertices
-    uncovered = frozenset(range(graph.n)) - covered
+    uncovered = frozenset(range(n)) - covered
+    report = AuditReport(delta=delta, n=n, matching=matching, mono=mono,
+                         mono_color=mono_color, max_class_size=len(mono),
+                         uncovered=uncovered)
+    check = report.add_check
+
+    # Good edges and good pairs.
     good_edges = tuple(
         e for e in graph.edges
         if e[2] not in matched_colors and (e[0] in uncovered or e[1] in uncovered)
     )
-    report = AuditReport(
-        delta=delta,
-        n=graph.n,
-        matching=matching,
-        mono=mono,
-        mono_color=mono_color,
-        max_class_size=len(mono),
-        uncovered=uncovered,
-    )
-
     inside = tuple(e for e in good_edges
                    if e[0] in uncovered and e[1] in uncovered)
-    report.add_check(
-        "matching-maximality", not inside, inside,
-        note="every good edge must meet a matched vertex; a failure means a direct extension exists",
-    )
+    check("matching-maximality", not inside, inside,
+          note="every good edge must meet a matched vertex; a failure means a direct extension exists")
+    pairs = [MatchedPair(x=u, y=v, color=c) for u, v, c in matching.edges]
+    good_at = _promote(pairs, good_edges, covered, "good")
+    bad = tuple(e for e in matching.edges if _dichotomy_fails(good_at[e[0]], good_at[e[1]]))
+    check("good-pair-dichotomy", not bad, bad,
+          note=f"{DICHOTOMY_THRESHOLD} good edges at one endpoint forbid any at the partner; "
+               "a failure means a one-for-two exchange exists")
 
-    good_at: dict[int, int] = {v: 0 for v in covered}
-    for e in good_edges:
-        for v in (e[0], e[1]):
-            if v in covered:
-                good_at[v] += 1
-
-    dichotomy_bad = []
-    partners = []
-    for u, v, c in matching.edges:
-        gu, gv = good_at[u], good_at[v]
-        pair = MatchedPair(x=u, y=v, color=c, good_at_x=gu, good_at_y=gv)
-        if max(gu, gv) >= GOOD_EDGE_THRESHOLD:
-            pair.kind = "good"
-            if gv > gu:
-                pair.x, pair.y = v, u
-                pair.good_at_x, pair.good_at_y = gv, gu
-            pair.oriented = (gu >= GOOD_EDGE_THRESHOLD) != (gv >= GOOD_EDGE_THRESHOLD)
-            partners.append(pair.y)
-        if (gu >= DICHOTOMY_THRESHOLD and gv >= 1) or (gv >= DICHOTOMY_THRESHOLD and gu >= 1):
-            dichotomy_bad.append((u, v, c))
-        report.pairs.append(pair)
-    report.good_pair_count = sum(1 for p in report.pairs if p.kind == "good")
-    report.good_edges = good_edges
-    report.extended_uncovered = uncovered | frozenset(partners)
-    report.add_check(
-        "good-pair-dichotomy", not dichotomy_bad, tuple(dichotomy_bad),
-        note=f"{DICHOTOMY_THRESHOLD} good edges at one endpoint forbid any at the partner; "
-             "a failure means a one-for-two exchange exists",
-    )
-    return report
-
-
-def compute_nice_structure(graph: EdgeColoredGraph, report: AuditReport) -> AuditReport:
-    """Second stage: nice edges and nice pairs over the extended set.
-
-    With no good pair the extended set equals the uncovered set, nice
-    coincides with good and no nice pair can appear.
-    """
-    excluded = {p.color for p in report.pairs if p.kind != "good"}
-    extended = report.extended_uncovered
+    # Nice edges over the extended set and nice pairs among the rest.  With
+    # no good pair the extended set is the uncovered set, nice coincides
+    # with good and no nice pair can appear.
+    excluded = {p.color for p in pairs if p.kind != "good"}
+    extended = uncovered | frozenset(p.y for p in pairs if p.kind == "good")
     nice_edges = tuple(
         e for e in graph.edges
         if e[2] not in excluded and (e[0] in extended or e[1] in extended)
     )
-    report.nice_edges = nice_edges
-
-    good_set = set(report.good_edges)
-    not_nice = tuple(e for e in good_set if e not in set(nice_edges))
-    report.add_check(
-        "good-nice-inclusion", not not_nice, not_nice,
-        note="every good edge is nice by construction",
-    )
+    nice_set = set(nice_edges)
+    not_nice = tuple(e for e in good_edges if e not in nice_set)
+    check("good-nice-inclusion", not not_nice, not_nice,
+          note="every good edge is nice by construction")
     inside = tuple(e for e in nice_edges if e[0] in extended and e[1] in extended)
-    report.add_check(
-        "nice-separation", not inside, inside,
-        note="nice edges must leave the extended uncovered set",
-    )
+    check("nice-separation", not inside, inside,
+          note="nice edges must leave the extended uncovered set")
+    nice_at = _promote(pairs, nice_edges, covered, "nice")
+    bad = tuple((p.x, p.y, p.color) for p in pairs
+                if p.kind != "good" and _dichotomy_fails(nice_at[p.x], nice_at[p.y]))
+    check("nice-pair-dichotomy", not bad, bad,
+          note="same dichotomy as good pairs, over nice edges and the remaining pairs; "
+               "a failure means a deeper exchange exists")
 
-    covered = report.matching.vertices
-    nice_at: dict[int, int] = {v: 0 for v in covered}
-    for e in nice_edges:
-        for v in (e[0], e[1]):
-            if v in covered:
-                nice_at[v] += 1
-    dichotomy_bad = []
-    for pair in report.pairs:
-        pair.nice_at_x = nice_at[pair.x]
-        pair.nice_at_y = nice_at[pair.y]
-        if pair.kind == "good":
-            continue
-        nx, ny = pair.nice_at_x, pair.nice_at_y
-        if max(nx, ny) >= GOOD_EDGE_THRESHOLD:
-            pair.kind = "nice"
-            if ny > nx:
-                pair.x, pair.y = pair.y, pair.x
-                pair.good_at_x, pair.good_at_y = pair.good_at_y, pair.good_at_x
-                pair.nice_at_x, pair.nice_at_y = ny, nx
-            pair.oriented = (nx >= GOOD_EDGE_THRESHOLD) != (ny >= GOOD_EDGE_THRESHOLD)
-        if (nx >= DICHOTOMY_THRESHOLD and ny >= 1) or (ny >= DICHOTOMY_THRESHOLD and nx >= 1):
-            dichotomy_bad.append((pair.x, pair.y, pair.color))
-    report.nice_pair_count = sum(1 for p in report.pairs if p.kind == "nice")
-    report.add_check(
-        "nice-pair-dichotomy", not dichotomy_bad, tuple(dichotomy_bad),
-        note="same dichotomy as good pairs, over nice edges and the remaining pairs; "
-             "a failure means a deeper exchange exists",
-    )
-    return report
-
-
-def compute_t(graph: EdgeColoredGraph, report: AuditReport) -> AuditReport:
-    """Third stage: mono-touched pairs and the count bounds tying the
-    monochromatic class size to the pair counts."""
-    delta = report.delta
-    r = report.good_pair_count
-    s = report.nice_pair_count
-    a = report.max_class_size
-    if report.mono_color is not None:
-        uncovered = report.uncovered
-        for pair in report.pairs:
-            if pair.kind != "plain":
-                continue
-            for z in (pair.x, pair.y):
-                hit = False
-                for idx in graph.incidence[z]:
-                    e = graph.edges[idx]
-                    w = e[1] if e[0] == z else e[0]
-                    if e[2] == report.mono_color and w in uncovered:
-                        hit = True
-                        break
-                if hit:
-                    pair.kind = "mono-touched"
-                    break
-    t = sum(1 for p in report.pairs if p.kind == "mono-touched")
-    report.mono_touched_count = t
-
+    # Both counts are read at the final orientation.  A plain pair with an
+    # edge of the mono colour into the uncovered set is mono-touched.
+    touching = {w for u, v, c in graph.edges if c == mono_color
+                for w, z in ((u, v), (v, u)) if z in uncovered}
+    for p in pairs:
+        p.good_at_x, p.good_at_y = good_at[p.x], good_at[p.y]
+        p.nice_at_x, p.nice_at_y = nice_at[p.x], nice_at[p.y]
+        if p.kind == "plain" and (p.x in touching or p.y in touching):
+            p.kind = "mono-touched"
+    r = sum(1 for p in pairs if p.kind == "good")
+    s = sum(1 for p in pairs if p.kind == "nice")
+    t = sum(1 for p in pairs if p.kind == "mono-touched")
+    a = len(mono)
     # Lower bound is half-integer; compare at twice the scale, which is the
     # same as rounding the bound up to the next integer.
     lower_ok = 2 * t >= 2 * (a - delta + 1) - (r + s)
     upper_ok = r + s + t <= delta - 1
     lb = Fraction(2 * (a - delta + 1) - (r + s), 2)
-    report.add_check(
-        "touched-count-bounds", lower_ok and upper_ok,
-        note=f"touched={t}, lower bound {lb}, and good+nice+touched <= {delta - 1}",
-    )
-
+    check("touched-count-bounds", lower_ok and upper_ok,
+          note=f"touched={t}, lower bound {lb}, and good+nice+touched <= {delta - 1}")
     rank = {"good": 0, "nice": 1, "mono-touched": 2, "plain": 3}
-    report.pairs.sort(key=lambda p: rank[p.kind])
-    for i, pair in enumerate(report.pairs, start=1):
-        pair.index = i
-    return report
+    pairs.sort(key=lambda p: rank[p.kind])
+    for i, p in enumerate(pairs, start=1):
+        p.index = i
 
-
-def check_claims(graph: EdgeColoredGraph, report: AuditReport) -> AuditReport:
-    """Final stage: colour-absence, count caps and the order inequality."""
-    delta = report.delta
-    n = report.n
-    r = report.good_pair_count
-    s = report.nice_pair_count
-    t = report.mono_touched_count
-    a = report.max_class_size
-    extended = report.extended_uncovered
-    uncovered = report.uncovered
-
+    # Degree cap, colour absence, count caps and the order inequality.
     cap = 3 * (delta - 1)
     heavy = tuple((v, graph.degree(v)) for v in range(n) if graph.degree(v) > cap)
-    report.add_check(
-        "degree-cap", not heavy, heavy,
-        note=f"max degree {max_degree(graph)} vs cap {cap}; conditional: "
-             "a failure only means the vertex-reduction move applies",
-    )
-
-    good_colors = {p.color for p in report.pairs if p.kind == "good"}
-    nice_colors = {p.color for p in report.pairs if p.kind == "nice"}
-    inside_edges = [e for e in graph.edges if e[0] in extended and e[1] in extended]
-    bad_good = tuple(e for e in inside_edges if e[2] in good_colors)
-    report.add_check(
-        "good-color-absence", not bad_good, bad_good,
-        note="good pair colours may not appear inside the extended uncovered set",
-    )
-    bad_nice = tuple(e for e in inside_edges if e[2] in good_colors | nice_colors)
-    report.add_check(
-        "nice-color-absence", not bad_nice, bad_nice,
-        note="good and nice pair colours may not appear inside the extended uncovered set",
-    )
-
+    check("degree-cap", not heavy, heavy,
+          note=f"max degree {max_degree(graph)} vs cap {cap}; conditional: "
+               "a failure only means the vertex-reduction move applies")
+    good_colors = {p.color for p in pairs if p.kind == "good"}
+    paired_colors = good_colors | {p.color for p in pairs if p.kind == "nice"}
+    inside = [e for e in graph.edges if e[0] in extended and e[1] in extended]
+    bad = tuple(e for e in inside if e[2] in good_colors)
+    check("good-color-absence", not bad, bad,
+          note="good pair colours may not appear inside the extended uncovered set")
+    bad = tuple(e for e in inside if e[2] in paired_colors)
+    check("nice-color-absence", not bad, bad,
+          note="good and nice pair colours may not appear inside the extended uncovered set")
     nice_cap = (3 * delta - 9 + s) * r + 6 * (delta - 1)
-    report.add_check(
-        "nice-edge-cap", len(report.nice_edges) <= nice_cap,
-        ((len(report.nice_edges), nice_cap),),
-        note=f"{len(report.nice_edges)} nice edges vs cap {nice_cap}",
-    )
-
-    multiplicity_bad = []
-    for pair in report.pairs:
-        if pair.kind != "mono-touched":
-            continue
-        inside_same = [e for e in graph.edges
-                       if e[2] == pair.color
-                       and e[0] in uncovered and e[1] in uncovered]
-        if len(inside_same) > 1:
-            multiplicity_bad.append((pair.color, tuple(inside_same)))
-    report.add_check(
-        "mono-color-multiplicity", not multiplicity_bad, tuple(multiplicity_bad),
-        note="a mono-touched pair colour fits at most one edge inside the uncovered set",
-    )
-
+    check("nice-edge-cap", len(nice_edges) <= nice_cap,
+          ((len(nice_edges), nice_cap),),
+          note=f"{len(nice_edges)} nice edges vs cap {nice_cap}")
+    inside_by_color: dict[int, list[Edge]] = {}
+    for e in graph.edges:
+        if e[0] in uncovered and e[1] in uncovered:
+            inside_by_color.setdefault(e[2], []).append(e)
+    bad = tuple((p.color, tuple(inside_by_color[p.color])) for p in pairs
+                if p.kind == "mono-touched" and len(inside_by_color.get(p.color, ())) > 1)
+    check("mono-color-multiplicity", not bad, bad,
+          note="a mono-touched pair colour fits at most one edge inside the uncovered set")
     lhs = delta * n
     rhs = ((3 * delta - 10 - r) * r - (a - 2) * t
            + 2 * (delta + 3) * (delta - 1)
            + (a - 1) * (2 * delta - 2 - 2 * r - s))
-    report.add_check(
-        "order-inequality", lhs <= rhs,
-        note=f"delta*n = {lhs} vs structural bound {rhs}",
-    )
+    check("order-inequality", lhs <= rhs,
+          note=f"delta*n = {lhs} vs structural bound {rhs}")
+    check("pair-count-slack", 5 * r + 3 * s < 2 * (delta + 1),
+          note=f"5*good + 3*nice = {5 * r + 3 * s} vs {2 * (delta + 1)}; diagnostic")
 
-    report.add_check(
-        "pair-count-slack", 5 * r + 3 * s < 2 * (delta + 1),
-        note=f"5*good + 3*nice = {5 * r + 3 * s} vs {2 * (delta + 1)}; diagnostic",
-    )
+    report.extended_uncovered = extended
+    report.pairs = pairs
+    report.good_edges = good_edges
+    report.nice_edges = nice_edges
+    report.good_pair_count = r
+    report.nice_pair_count = s
+    report.mono_touched_count = t
     return report
-
-
-def audit_state(graph: EdgeColoredGraph, matching: Matching, mono: Matching,
-                delta: int | None = None) -> AuditReport:
-    """Run all four audit stages on an explicit state."""
-    report = compute_good_structure(graph, matching, mono, delta)
-    compute_nice_structure(graph, report)
-    compute_t(graph, report)
-    return check_claims(graph, report)
 
 
 def pick_mono_class(graph: EdgeColoredGraph, matching: Matching) -> Matching:
@@ -473,17 +397,23 @@ def audit_stuck_state(graph: EdgeColoredGraph, target: int | None = None,
 
 def applicable_rules(graph: EdgeColoredGraph, matching: Matching,
                      target: int | None = None,
-                     max_exchange_depth: int = 5) -> list[str]:
-    """Names of the engine rules that fire on this state; audit helper."""
+                     max_exchange_depth: int = 3,
+                     node_budget: int | None = None) -> list[str]:
+    """Names of the engine rules that fire on this state; audit helper.
+
+    Vertex reduce aims at ``target``, by default one past the matching's
+    size, as the engine does.  ``node_budget`` bounds the exchange and each
+    search of vertex reduce; hitting it raises :class:`BudgetExceeded`.
+    """
     names = []
     if rule_direct(graph, matching) is not None:
         names.append("direct")
     if rule_mono(graph, matching) is not None:
         names.append("mono")
-    if rule_exchange(graph, matching, max_exchange_depth) is not None:
+    if rule_exchange(graph, matching, max_exchange_depth, node_budget) is not None:
         names.append("exchange")
     goal = target if target is not None else len(matching) + 1
-    if rule_vertex_reduce(graph, goal, max_exchange_depth) is not None:
+    if rule_vertex_reduce(graph, goal, max_exchange_depth, node_budget) is not None:
         names.append("vertex-reduce")
     return names
 

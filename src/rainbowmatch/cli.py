@@ -217,7 +217,6 @@ def cmd_latin(args) -> int:
 
 def cmd_audit(args) -> int:
     graph = load_graph(args.file)
-    target = args.target if args.target is not None else min_degree(graph)
     engine_res = None
     if args.matching is not None:
         matching = Matching(_parse_triples(args.matching))
@@ -225,8 +224,9 @@ def cmd_audit(args) -> int:
             mono = Matching([e for e in graph.edges if e[2] == args.mono_color])
         else:
             mono = pick_mono_class(graph, matching)
-        report = audit_state(graph, matching, mono)
+        report = audit_state(graph, matching, mono, args.target)
     else:
+        target = args.target if args.target is not None else min_degree(graph)
         try:
             report, engine_res = audit_stuck_state(
                 graph, target, args.depth, node_budget=args.budget)
@@ -235,7 +235,7 @@ def cmd_audit(args) -> int:
             return 0
     payload = report.to_json_dict()
     payload["applicable_rules"] = applicable_rules(
-        graph, report.matching, target, args.depth)
+        graph, report.matching, report.delta, args.depth, args.budget)
     if engine_res is not None:
         payload["engine"] = {
             "target": target,
@@ -334,10 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      "and audit its structure")
     p.add_argument("file", help="graph file")
     p.add_argument("--target", type=int, default=None,
-                   help="target size (default: minimum degree)")
+                   help="target size (default: minimum degree); with "
+                        "--matching, its size plus one")
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--budget", type=int, default=None,
-                   help="node budget for the engine")
+                   help="node budget for the engine and the rule checks")
     p.add_argument("--matching", default=None,
                    help="audit this explicit matching instead of running "
                         "the engine; edge triples like '0,1,1 2,3,4'")

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,8 +20,11 @@ from rainbowmatch import (
     bound_n,
     build_graph,
     certify_counting_bound,
+    color_classes,
+    greedy_proper_coloring,
     min_degree,
     pick_mono_class,
+    random_graph_min_degree,
     rule_direct,
     rule_mono,
     run_engine,
@@ -28,6 +33,15 @@ from rainbowmatch import (
 from rainbowmatch.auditor import const_counts, const_printed, constant_forms_agree
 
 from conftest import k33_cyclic, k4_one_factorization, pendant_star, random_instance
+
+
+CHECK_NAMES = (
+    "matching-maximality", "good-pair-dichotomy", "good-nice-inclusion",
+    "nice-separation", "nice-pair-dichotomy", "touched-count-bounds",
+    "degree-cap", "good-color-absence", "nice-color-absence",
+    "nice-edge-cap", "mono-color-multiplicity", "order-inequality",
+    "pair-count-slack",
+)
 
 
 def stuck_k4_state():
@@ -297,6 +311,60 @@ def test_stuck_states_satisfy_maximality_checks_or_a_rule_fires():
                 assert applicable_rules(g, report.matching, target, 5), \
                     f"{name} failed with no applicable rule (seed {seed})"
     assert audited >= 20
+
+
+def audit_corpus():
+    """Explicit states over seeded graphs with d = 3..10 and n up to 34.
+    The rainbow matching is grown in a random edge order and cut at a
+    random size, so it need not be maximal; the mono class is the empty
+    matching and then up to five unused colour classes."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        d = rng.randint(3, 10)
+        n = rng.randint(d + 1, 34)
+        p = rng.choice((0.0, 0.1, 0.3))
+        g = greedy_proper_coloring(random_graph_min_degree(n, d, seed, p), seed)
+        order = list(g.edges)
+        rng.shuffle(order)
+        size = rng.randint(1, d)
+        chosen, used_v, used_c = [], set(), set()
+        for u, v, c in order:
+            if len(chosen) == size:
+                break
+            if u in used_v or v in used_v or c in used_c:
+                continue
+            chosen.append((u, v, c))
+            used_v |= {u, v}
+            used_c.add(c)
+        unused = [es for c, es in sorted(color_classes(g).items())
+                  if c not in used_c]
+        rng.shuffle(unused)
+        matching = Matching(chosen)
+        for mono in [Matching()] + [Matching(es) for es in unused[:5]]:
+            yield g, matching, mono
+
+
+def test_audit_reports_are_pinned():
+    # sha256 of the JSON report of every corpus state, taken before the
+    # four audit stages were folded into one pass.  Every check but
+    # good-nice-inclusion (good edges are nice by construction) fails
+    # somewhere in the corpus, and good and nice pairs both occur.
+    digest = hashlib.sha256()
+    failed = dict.fromkeys(CHECK_NAMES, 0)
+    good = nice = 0
+    for g, matching, mono in audit_corpus():
+        report = audit_state(g, matching, mono)
+        digest.update(json.dumps(report.to_json_dict(), sort_keys=True).encode())
+        assert [c.name for c in report.checks] == list(CHECK_NAMES)
+        for c in report.checks:
+            failed[c.name] += not c.holds
+        good += report.good_pair_count > 0
+        nice += report.nice_pair_count > 0
+    assert digest.hexdigest() == \
+        "f19bb8b08b9af766ffd73969b92045bdb30d6dfb3b700b19e68af87edf071d72"
+    assert failed.pop("good-nice-inclusion") == 0
+    assert min(failed.values()) > 0, failed
+    assert good > 0 and nice > 0
 
 
 # ----------------------------------------------------------- certification

@@ -28,6 +28,13 @@ def k33_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def pend_file(tmp_path):
+    path = tmp_path / "pend.txt"
+    path.write_text(dumps_graph(pendant_star()))
+    return str(path)
+
+
 # -------------------------------------------------------------------- solve
 
 def test_solve_text_output(k4_file, capsys):
@@ -59,11 +66,9 @@ def test_solve_engine_trace_lines(tmp_path, capsys):
         assert "rule" in json.loads(line)
 
 
-def test_solve_budget_stops_the_engine(tmp_path, capsys):
+def test_solve_budget_stops_the_engine(pend_file, capsys):
     # The depth-1 exchange needs 6 core nodes on this graph.
-    path = tmp_path / "pend.txt"
-    path.write_text(dumps_graph(pendant_star()))
-    assert main(["solve", str(path), "--engine", "--target", "2",
+    assert main(["solve", pend_file, "--engine", "--target", "2",
                  "--budget", "5", "--trace"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "engine 1 of target 2" in lines
@@ -262,6 +267,29 @@ def test_audit_explicit_state_flags_violations(tmp_path, capsys):
     assert "mono-color-multiplicity" in captured.err
     payload = json.loads(captured.out)
     assert "mono" in payload["applicable_rules"]
+
+
+def test_audit_budget_bounds_the_rule_checks(pend_file, capsys):
+    # The depth-1 exchange that swaps 01 for two edges needs 6 core nodes.
+    argv = ["audit", pend_file, "--target", "2", "--matching", "0,1,1"]
+    assert main(argv + ["--budget", "5"]) == 2
+    assert capsys.readouterr().err.startswith("error: BudgetExceeded")
+    assert main(argv + ["--budget", "6"]) == 3
+    assert "exchange" in json.loads(capsys.readouterr().out)["applicable_rules"]
+
+
+def test_audit_target_must_match_the_explicit_matching(pend_file, capsys):
+    assert main(["audit", pend_file, "--target", "5",
+                 "--matching", "0,1,1"]) == 2
+    assert "error: InvalidState" in capsys.readouterr().err
+
+
+def test_audit_explicit_target_defaults_past_the_matching(pend_file, capsys):
+    # The minimum degree is 1; vertex reduce at 3 needs degree above 6.
+    assert main(["audit", pend_file, "--matching", "0,2,2 1,5,5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["delta"] == 3
+    assert payload["applicable_rules"] == []
 
 
 def test_audit_rejects_bad_matching_string(k4_file, capsys):

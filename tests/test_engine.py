@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rainbowmatch import (
     BudgetExceeded,
     Matching,
+    RecursionBudget,
     bound_n,
     build_graph,
     greedy_proper_coloring,
@@ -182,6 +183,11 @@ def test_mono_needs_a_matched_edge():
 def test_vertex_reduce_target_one():
     out = rule_vertex_reduce(k4_one_factorization(), 1)
     assert out is not None and len(out) == 1
+
+
+def test_vertex_reduce_without_recursion_budget_raises():
+    with pytest.raises(RecursionBudget):
+        rule_vertex_reduce(k4_one_factorization(), 1, recursion_budget=0)
 
 
 def test_vertex_reduce_inapplicable_below_degree_cap():
