@@ -5,7 +5,8 @@ has enough vertices relative to its minimum degree (just under four and a
 half times it), a rainbow matching of size the minimum degree exists.  The
 modules make that guarantee executable:
 
-* :mod:`rainbowmatch.graphs`: coloured graphs, matchings, bounds, IO.
+* :mod:`rainbowmatch.graphs`: coloured graphs, matchings, bounds.
+* :mod:`rainbowmatch.io`: graph files, and result records as JSON and CSV.
 * :mod:`rainbowmatch.solver`: exact branch-and-bound ground truth.
 * :mod:`rainbowmatch.engine`: local improvement rules with replayable traces.
 * :mod:`rainbowmatch.auditor`: structural audit of stuck states and the
@@ -13,7 +14,8 @@ modules make that guarantee executable:
 * :mod:`rainbowmatch.latin`: Latin squares as coloured complete bipartite
   graphs; transversal counting.
 * :mod:`rainbowmatch.generators`: seeded random and structured instances.
-* :mod:`rainbowmatch.campaigns`: reproducible experiment sweeps.
+* :mod:`rainbowmatch.campaigns`: reproducible experiment sweeps and their
+  ok / no / unknown verdicts.
 * :mod:`rainbowmatch.cli`: the ``rainbowmatch`` command.
 """
 
@@ -45,7 +47,14 @@ from .graphs import (
     max_degree,
     min_degree,
 )
-from .io import dump_graph, dumps_graph, load_graph, parse_graph
+from .io import (
+    dump_graph,
+    dumps_graph,
+    load_graph,
+    parse_graph,
+    records_to_csv,
+    to_json,
+)
 from .solver import (
     SearchEvent,
     SolveResult,
@@ -100,15 +109,11 @@ from .campaigns import (
     InstanceRecord,
     ScanRow,
     campaign_to_json,
-    cells_to_csv,
     derive_seed,
-    instances_to_csv,
     lesaulnier_exception,
     lesaulnier_threshold,
     run_campaign,
     run_scan,
-    scan_to_csv,
-    scan_to_json,
     wang_applies,
     wang_threshold,
     write_campaign_files,
@@ -125,18 +130,18 @@ __all__ = [
     "OrderTooLarge", "ParseError", "RecursionBudget", "RuleStep", "ScanRow",
     "SearchEvent", "SimpleGraph", "SolveResult", "UnknownEdge",
     "WrongColourCount", "applicable_rules", "audit_state", "audit_stuck_state",
-    "bound_n", "build_graph", "campaign_to_json", "cells_to_csv",
+    "bound_n", "build_graph", "campaign_to_json",
     "certify_counting_bound", "color_classes", "count_rainbow_matchings",
     "count_transversals", "cyclic_square", "derive_seed", "dump_graph",
     "dumps_graph", "dumps_square",
     "graph_to_latin", "greedy_proper_coloring", "greedy_rainbow",
-    "instances_to_csv", "is_rainbow_matching", "latin_to_graph",
+    "is_rainbow_matching", "latin_to_graph",
     "lesaulnier_exception", "lesaulnier_threshold", "load_graph",
     "load_square", "max_degree", "max_rainbow_matching", "min_degree",
     "one_factorization", "parse_graph", "parse_square", "pick_mono_class",
     "rainbow_matching_at_least", "random_graph_min_degree", "random_latin",
-    "replay_trace", "rule_direct", "rule_exchange", "rule_mono",
-    "rule_vertex_reduce", "run_campaign", "run_engine", "run_scan",
-    "scan_to_csv", "scan_to_json", "solve_decision", "trace_to_json_lines",
+    "records_to_csv", "replay_trace", "rule_direct", "rule_exchange",
+    "rule_mono", "rule_vertex_reduce", "run_campaign", "run_engine",
+    "run_scan", "solve_decision", "to_json", "trace_to_json_lines",
     "wang_applies", "wang_threshold", "write_campaign_files",
 ]

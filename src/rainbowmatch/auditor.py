@@ -73,14 +73,6 @@ class ClaimCheck:
     witness: tuple = ()
     note: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "holds": self.holds,
-            "witness": _jsonable(self.witness),
-            "note": self.note,
-        }
-
 
 @dataclass
 class MatchedPair:
@@ -102,20 +94,6 @@ class MatchedPair:
     nice_at_x: int = 0
     nice_at_y: int = 0
     index: int = 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "x": self.x,
-            "y": self.y,
-            "color": self.color,
-            "kind": self.kind,
-            "oriented": self.oriented,
-            "good_at_x": self.good_at_x,
-            "good_at_y": self.good_at_y,
-            "nice_at_x": self.nice_at_x,
-            "nice_at_y": self.nice_at_y,
-        }
 
 
 @dataclass
@@ -146,35 +124,6 @@ class AuditReport:
 
     def add_check(self, name, holds, witness=(), note="") -> None:
         self.checks.append(ClaimCheck(name, bool(holds), tuple(witness), note))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "n": self.n,
-            "matching": [list(e) for e in self.matching.edges],
-            "mono": [list(e) for e in self.mono.edges],
-            "mono_color": self.mono_color,
-            "max_class_size": self.max_class_size,
-            "uncovered": sorted(self.uncovered),
-            "extended_uncovered": sorted(self.extended_uncovered),
-            "pairs": [p.to_json_dict() for p in self.pairs],
-            "good_edges": [list(e) for e in self.good_edges],
-            "nice_edges": [list(e) for e in self.nice_edges],
-            "good_pair_count": self.good_pair_count,
-            "nice_pair_count": self.nice_pair_count,
-            "mono_touched_count": self.mono_touched_count,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
-
-
-def _jsonable(value):
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, frozenset):
-        return sorted(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
 
 
 def _promote(pairs: list[MatchedPair], edges, covered: frozenset[int],

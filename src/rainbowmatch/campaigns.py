@@ -11,9 +11,7 @@ seed through :func:`derive_seed`.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io as _io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +19,7 @@ from pathlib import Path
 from .engine import run_engine
 from .generators import greedy_proper_coloring, random_graph_min_degree
 from .graphs import EdgeColoredGraph, bound_n, min_degree
-from .io import dumps_graph
+from .io import dumps_graph, records_to_csv, to_json
 from .solver import max_rainbow_matching, solve_decision
 
 DEFAULT_NODE_BUDGET = 10 ** 8
@@ -84,20 +82,8 @@ class CampaignConfig:
             return bound_n(delta) - int(rule[len("bound-"):])
         raise ValueError(f"bad n_rule: {self.n_rule!r}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "deltas": list(self.deltas),
-            "n_rule": self.n_rule,
-            "samples": self.samples,
-            "recolorings": self.recolorings,
-            "master_seed": self.master_seed,
-            "engine_depth": self.engine_depth,
-            "node_budget": self.node_budget,
-            "extra_edge_prob": self.extra_edge_prob,
-        }
-
     def config_hash(self) -> str:
-        canon = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        canon = json.dumps(to_json(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
@@ -148,36 +134,30 @@ class CampaignResult:
     witness_files: list[str] = field(default_factory=list)
 
 
+def _verdict(size: int, optimal: bool, need: int) -> bool | None:
+    """Whether a rainbow matching of size ``need`` exists: True on a
+    witness, False once the search that found ``size`` ran to exhaustion,
+    None (unknown) otherwise."""
+    if size >= need:
+        return True
+    return False if optimal else None
+
+
 def _evaluate_instance(graph, delta, config, rec_common, out_dir, result):
     """Solve one colouring exactly, run the engine, apply the weaker-bound
     checks, and append the record (dumping a witness on any violation)."""
-    res = solve_decision(graph, delta, config.node_budget)
-    theorem_applicable = graph.n >= bound_n(delta)
-    status = "ok"
-    found_size = res.size
+    res = final = solve_decision(graph, delta, config.node_budget)
     nodes = res.nodes_explored
-    if res.size >= delta:
-        theorem_ok: bool | None = True
-        lesaulnier_ok: bool | None = True
-        wang_ok: bool | None = True
-    elif res.optimal:
+    if res.size < delta and res.optimal:
         # Definite negative; get the true optimum for the weaker checks.
-        full = max_rainbow_matching(graph, config.node_budget)
-        found_size = full.size
-        nodes += full.nodes_explored
-        theorem_ok = False
-        if full.optimal:
-            lesaulnier_ok = full.size >= lesaulnier_threshold(delta)
-            wang_ok = full.size >= wang_threshold(delta)
-        else:
-            status = "inconclusive"
-            lesaulnier_ok = True if full.size >= lesaulnier_threshold(delta) else None
-            wang_ok = True if full.size >= wang_threshold(delta) else None
-    else:
-        status = "inconclusive"
-        theorem_ok = None
-        lesaulnier_ok = True if res.size >= lesaulnier_threshold(delta) else None
-        wang_ok = True if res.size >= wang_threshold(delta) else None
+        final = max_rainbow_matching(graph, config.node_budget)
+        nodes += final.nodes_explored
+    found_size = final.size
+    theorem_applicable = graph.n >= bound_n(delta)
+    theorem_ok = _verdict(res.size, res.optimal, delta)
+    lesaulnier_ok = _verdict(found_size, final.optimal, lesaulnier_threshold(delta))
+    wang_ok = _verdict(found_size, final.optimal, wang_threshold(delta))
+    status = "ok" if theorem_ok or final.optimal else "inconclusive"
 
     flagged = lesaulnier_exception(graph)
     wang_app = wang_applies(graph.n, delta)
@@ -224,11 +204,14 @@ def _evaluate_instance(graph, delta, config, rec_common, out_dir, result):
 def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> CampaignResult:
     """Run the full sweep.  ``out_dir`` (optional) receives witness dumps
     for any violated guarantee."""
+    if len(set(config.deltas)) != len(config.deltas):
+        raise ValueError(f"repeated minimum degree in {list(config.deltas)}")
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     result = CampaignResult(config=config, config_hash=config.config_hash())
     for delta in config.deltas:
         n = config.n_for(delta)
+        first = len(result.records)
         for i in range(config.samples):
             gseed = derive_seed(config.master_seed, "graph", delta, n, i)
             base = random_graph_min_degree(n, delta, gseed, config.extra_edge_prob)
@@ -245,7 +228,7 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
                     "color_seed": cseed,
                 }
                 _evaluate_instance(graph, delta, config, rec_common, out_dir, result)
-        cell_records = [r for r in result.records if r.delta == delta and r.n == n]
+        cell_records = result.records[first:]
         ok = sum(1 for r in cell_records if r.theorem_ok is True)
         failures = sum(1 for r in cell_records if r.theorem_ok is False)
         inconclusive = sum(1 for r in cell_records if r.status == "inconclusive")
@@ -289,83 +272,24 @@ def run_scan(delta: int, n_values, samples: int, master_seed: int,
             cseed = derive_seed(master_seed, "scan-color", delta, n, i)
             graph = greedy_proper_coloring(base, cseed)
             res = solve_decision(graph, delta, node_budget)
-            if res.size >= delta:
-                pass
-            elif res.optimal:
-                failures += 1
-            else:
-                inconclusive += 1
+            verdict = _verdict(res.size, res.optimal, delta)
+            failures += verdict is False
+            inconclusive += verdict is None
         rate = (failures / samples) if samples else 0.0
         rows.append(ScanRow(delta, n, samples, failures, inconclusive, rate))
     return rows
 
 
-def _bool_cell(value: bool | None) -> str:
-    if value is None:
-        return ""
-    return "1" if value else "0"
-
-
-def cells_to_csv(result: CampaignResult) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["config_hash", "delta", "n", "instances", "ok", "failures",
-                     "inconclusive", "success_fraction", "engine_success_fraction"])
-    for c in result.cells:
-        writer.writerow([result.config_hash, c.delta, c.n, c.instances, c.ok,
-                         c.failures, c.inconclusive,
-                         f"{c.success_fraction:.6f}",
-                         f"{c.engine_success_fraction:.6f}"])
-    return buf.getvalue()
-
-
-def instances_to_csv(result: CampaignResult) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([
-        "config_hash", "delta", "n", "graph_index", "recoloring_index",
-        "graph_seed", "color_seed", "edges", "status", "found_size", "nodes",
-        "theorem_applicable", "theorem_ok", "lesaulnier_flagged",
-        "lesaulnier_ok", "wang_applicable", "wang_ok",
-        "engine_size", "engine_steps",
-    ])
-    for r in result.records:
-        writer.writerow([
-            r.config_hash, r.delta, r.n, r.graph_index, r.recoloring_index,
-            r.graph_seed, r.color_seed, r.edges, r.status, r.found_size,
-            r.nodes, _bool_cell(r.theorem_applicable), _bool_cell(r.theorem_ok),
-            _bool_cell(r.lesaulnier_flagged), _bool_cell(r.lesaulnier_ok),
-            _bool_cell(r.wang_applicable), _bool_cell(r.wang_ok),
-            r.engine_size, r.engine_steps,
-        ])
-    return buf.getvalue()
-
-
 def campaign_to_json(result: CampaignResult) -> str:
     payload = {
-        "config": result.config.to_json_dict(),
+        "config": to_json(result.config),
         "config_hash": result.config_hash,
-        "cells": [vars(c) for c in result.cells],
-        "instances": [vars(r) for r in result.records],
+        "cells": to_json(result.cells),
+        "instances": to_json(result.records),
         "violations": result.violations,
         "witness_files": [Path(p).name for p in result.witness_files],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def scan_to_csv(rows: list[ScanRow]) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["delta", "n", "samples", "failures", "inconclusive",
-                     "failure_rate"])
-    for r in rows:
-        writer.writerow([r.delta, r.n, r.samples, r.failures, r.inconclusive,
-                         f"{r.failure_rate:.6f}"])
-    return buf.getvalue()
-
-
-def scan_to_json(rows: list[ScanRow]) -> str:
-    return json.dumps([vars(r) for r in rows], sort_keys=True, indent=2) + "\n"
 
 
 def write_campaign_files(result: CampaignResult, out_dir: str | Path,
@@ -373,17 +297,14 @@ def write_campaign_files(result: CampaignResult, out_dir: str | Path,
     """Write the result files; returns the paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     if fmt == "csv":
-        for name, text in (("cells.csv", cells_to_csv(result)),
-                           ("instances.csv", instances_to_csv(result))):
-            path = out / name
-            path.write_text(text, encoding="utf-8")
-            written.append(path)
+        files = (("cells.csv", records_to_csv(result.cells, CellResult,
+                                              config_hash=result.config_hash)),
+                 ("instances.csv", records_to_csv(result.records, InstanceRecord)))
     elif fmt == "json":
-        path = out / "campaign.json"
-        path.write_text(campaign_to_json(result), encoding="utf-8")
-        written.append(path)
+        files = (("campaign.json", campaign_to_json(result)),)
     else:
         raise ValueError(f"unknown format: {fmt!r}")
-    return written
+    for name, text in files:
+        (out / name).write_text(text, encoding="utf-8")
+    return [out / name for name, _ in files]

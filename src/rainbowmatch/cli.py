@@ -23,21 +23,19 @@ from .auditor import (
 )
 from .campaigns import (
     CampaignConfig,
+    ScanRow,
     run_campaign,
     run_scan,
-    scan_to_csv,
-    scan_to_json,
     write_campaign_files,
 )
 from .engine import run_engine, trace_to_json_lines
 from .errors import Error, NotStuck, ParseError
-from .graphs import Matching, bound_n, min_degree
-from .io import dumps_graph, load_graph
+from .graphs import Matching, min_degree
+from .io import dumps_graph, load_graph, records_to_csv, to_json
 from .latin import (
     count_transversals,
     cyclic_square,
     dumps_square,
-    graph_to_latin,
     latin_to_graph,
     load_square,
 )
@@ -49,12 +47,16 @@ NON_BINDING_CHECKS = {"pair-count-slack", "degree-cap"}
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Accept "5", "2,3,4" or "2..200"."""
+    """Accept "5", "2,3,4" or "2..200"; an empty list is an error."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in text.split(",") if p.strip()]
+        values = list(range(int(lo), int(hi) + 1))
+    else:
+        values = [int(p) for p in text.split(",") if p.strip()]
+    if not values:
+        raise ValueError(f"empty list: {text!r}")
+    return values
 
 
 def _parse_triples(text: str) -> list[tuple[int, int, int]]:
@@ -87,14 +89,14 @@ def cmd_solve(args) -> int:
             "min_degree": min_degree(graph),
             "optimum" if res.optimal else "best_found": res.size,
             "optimal": res.optimal,
-            "witness": [list(e) for e in res.best.edges],
+            "witness": to_json(res.best),
             "nodes": res.nodes_explored,
         }
         if engine_res is not None:
             payload["engine"] = {
                 "target": target,
                 "size": engine_res.size,
-                "steps": [s.to_json_dict() for s in engine_res.trace],
+                "steps": to_json(engine_res.trace),
                 "gap": (res.size - engine_res.size) if res.optimal else None,
             }
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -150,7 +152,8 @@ def cmd_scan(args) -> int:
     rows = run_scan(args.delta, range(args.n_min, args.n_max + 1),
                     args.samples, args.seed, node_budget=args.budget,
                     extra_edge_prob=args.prob)
-    text = scan_to_json(rows) if args.format == "json" else scan_to_csv(rows)
+    text = (json.dumps(to_json(rows), sort_keys=True, indent=2) + "\n"
+            if args.format == "json" else records_to_csv(rows, ScanRow))
     if args.out is not None:
         Path(args.out).write_text(text, encoding="utf-8")
     print(text, end="")
@@ -233,14 +236,14 @@ def cmd_audit(args) -> int:
         except NotStuck as exc:
             print(f"not stuck: {exc}")
             return 0
-    payload = report.to_json_dict()
+    payload = to_json(report)
     payload["applicable_rules"] = applicable_rules(
         graph, report.matching, report.delta, args.depth, args.budget)
     if engine_res is not None:
         payload["engine"] = {
             "target": target,
             "size": engine_res.size,
-            "steps": [s.to_json_dict() for s in engine_res.trace],
+            "steps": to_json(engine_res.trace),
         }
     print(json.dumps(payload, sort_keys=True, indent=2))
     failed = [c.name for c in report.checks

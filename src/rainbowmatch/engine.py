@@ -47,6 +47,7 @@ class RuleStep:
     note: str = ""
 
     def to_json_dict(self) -> dict:
+        """Like :func:`rainbowmatch.io.to_json`, minus an empty note."""
         obj = {
             "rule": self.rule,
             "removed": [list(e) for e in self.removed],

@@ -1,4 +1,5 @@
-"""Graph serialisation: a line-based text format and a JSON equivalent.
+"""Serialisation: graphs in a line-based text format and a JSON
+equivalent, and result records as JSON values or CSV tables.
 
 Text format::
 
@@ -10,15 +11,24 @@ JSON format: ``{"n": <int>, "edges": [[u, v, colour], ...]}``.
 
 Both emitters are canonical (edges sorted, fixed layout), so parse/dump
 round trips are byte-exact.
+
+A result record is a dataclass.  :func:`to_json` turns one, or any value
+holding records, into plain JSON values; :func:`records_to_csv` writes a
+list of them as a table whose header is the dataclass's field order.
 """
 
 from __future__ import annotations
 
+import csv
+import dataclasses
+import io
 import json
+import operator
+from fractions import Fraction
 from pathlib import Path
 
 from .errors import ParseError
-from .graphs import EdgeColoredGraph, build_graph
+from .graphs import EdgeColoredGraph, Matching, build_graph
 
 
 def parse_graph(text: str) -> EdgeColoredGraph:
@@ -103,3 +113,54 @@ def load_graph(path) -> EdgeColoredGraph:
 
 def dump_graph(graph: EdgeColoredGraph, path, fmt: str = "text") -> None:
     Path(path).write_text(dumps_graph(graph, fmt))
+
+
+def to_json(value):
+    """Plain JSON value of a record: a dataclass becomes a dict of its
+    fields, a matching its edge list, a set a sorted list, a tuple a list
+    and a fraction its string.  A ``to_json_dict`` method takes precedence."""
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    if dataclasses.is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, Matching):
+        return [list(e) for e in value.edges]
+    if isinstance(value, (set, frozenset)):
+        return [to_json(v) for v in sorted(value)]
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    return value
+
+
+def _cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return f"{value:.6f}"
+
+
+def records_to_csv(records, cls, **lead) -> str:
+    """CSV table of dataclass records: the constant ``lead`` columns, then
+    the fields of ``cls`` in order.  ``None`` is written as an empty cell; a
+    field annotated bool is written 1 or 0, one annotated float with six
+    decimals."""
+    fields = dataclasses.fields(cls)
+    values = operator.attrgetter(*(f.name for f in fields))
+    # csv.writer already writes None as an empty cell; sending every cell
+    # through _cell would double the writer's time.
+    typed = [i for i, f in enumerate(fields, len(lead))
+             if "bool" in str(f.type) or "float" in str(f.type)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([*lead, *(f.name for f in fields)])
+    lead_cells = tuple(lead.values())
+    for record in records:
+        row = [*lead_cells, *values(record)]
+        for i in typed:
+            row[i] = _cell(row[i])
+        writer.writerow(row)
+    return buf.getvalue()

@@ -45,9 +45,6 @@ class SearchEvent:
     size: int
     node: int
 
-    def to_json_dict(self) -> dict:
-        return {"event": self.event, "size": self.size, "node": self.node}
-
 
 @dataclass(frozen=True)
 class SolveResult:

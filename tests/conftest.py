@@ -13,7 +13,7 @@ from collections import defaultdict
 
 import pytest
 
-from rainbowmatch import build_graph
+from rainbowmatch import CellResult, InstanceRecord, build_graph, records_to_csv
 
 
 # ---------------------------------------------------------------- builders
@@ -172,6 +172,18 @@ def independent_is_proper(n: int, edges) -> bool:
         seen[v].add(c)
     pairs = {(min(u, v), max(u, v)) for u, v, _ in edges}
     return len(pairs) == len(list(edges))
+
+
+# ------------------------------------------------------------ result files
+
+def cells_csv(result) -> str:
+    """The ``cells.csv`` that ``write_campaign_files`` writes."""
+    return records_to_csv(result.cells, CellResult, config_hash=result.config_hash)
+
+
+def instances_csv(result) -> str:
+    """The ``instances.csv`` that ``write_campaign_files`` writes."""
+    return records_to_csv(result.records, InstanceRecord)
 
 
 # ---------------------------------------------------------------- fixtures

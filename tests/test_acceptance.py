@@ -12,14 +12,12 @@ from rainbowmatch import (
     CampaignConfig,
     bound_n,
     campaign_to_json,
-    cells_to_csv,
     certify_counting_bound,
     count_rainbow_matchings,
     count_transversals,
     cyclic_square,
     dumps_graph,
     greedy_proper_coloring,
-    instances_to_csv,
     is_rainbow_matching,
     latin_to_graph,
     lesaulnier_threshold,
@@ -34,7 +32,13 @@ from rainbowmatch import (
     wang_threshold,
 )
 
-from conftest import brute_max_rainbow, independent_is_proper, k4_one_factorization
+from conftest import (
+    brute_max_rainbow,
+    cells_csv,
+    independent_is_proper,
+    instances_csv,
+    k4_one_factorization,
+)
 
 CAMPAIGN_CONFIG = CampaignConfig(deltas=(2, 3, 4), samples=500, recolorings=3,
                                  master_seed=0)
@@ -167,8 +171,8 @@ def test_acceptance_7_generator_contracts(capsys):
                 bad += 1
     cfg = CampaignConfig(deltas=(2,), samples=3, recolorings=1, master_seed=9)
     first, second = run_campaign(cfg), run_campaign(cfg)
-    reproducible = (cells_to_csv(first) == cells_to_csv(second)
-                    and instances_to_csv(first) == instances_to_csv(second)
+    reproducible = (cells_csv(first) == cells_csv(second)
+                    and instances_csv(first) == instances_csv(second)
                     and campaign_to_json(first) == campaign_to_json(second))
     ok = bad == 0 and reproducible
     report(capsys, 7, ok,

@@ -17,7 +17,6 @@ from rainbowmatch import (
     applicable_rules,
     audit_state,
     audit_stuck_state,
-    bound_n,
     build_graph,
     certify_counting_bound,
     color_classes,
@@ -28,6 +27,7 @@ from rainbowmatch import (
     rule_direct,
     rule_mono,
     run_engine,
+    to_json,
 )
 
 from rainbowmatch.auditor import const_counts, const_printed, constant_forms_agree
@@ -82,7 +82,7 @@ def test_k4_order_inequality_numbers():
 def test_report_serialises_to_json():
     g, matching, mono = stuck_k4_state()
     report = audit_state(g, matching, mono)
-    payload = json.loads(json.dumps(report.to_json_dict()))
+    payload = json.loads(json.dumps(to_json(report)))
     assert payload["delta"] == 2
     assert {c["name"] for c in payload["checks"]} >= {
         "matching-maximality", "order-inequality", "nice-edge-cap"}
@@ -354,7 +354,7 @@ def test_audit_reports_are_pinned():
     good = nice = 0
     for g, matching, mono in audit_corpus():
         report = audit_state(g, matching, mono)
-        digest.update(json.dumps(report.to_json_dict(), sort_keys=True).encode())
+        digest.update(json.dumps(to_json(report), sort_keys=True).encode())
         assert [c.name for c in report.checks] == list(CHECK_NAMES)
         for c in report.checks:
             failed[c.name] += not c.holds

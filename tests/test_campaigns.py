@@ -4,27 +4,26 @@ import pytest
 
 from rainbowmatch import (
     CampaignConfig,
+    ScanRow,
     bound_n,
     build_graph,
     campaign_to_json,
-    cells_to_csv,
     derive_seed,
     greedy_proper_coloring,
-    instances_to_csv,
     lesaulnier_exception,
     lesaulnier_threshold,
     random_graph_min_degree,
+    records_to_csv,
     run_campaign,
     run_scan,
-    scan_to_csv,
-    scan_to_json,
     solve_decision,
+    to_json,
     wang_applies,
     wang_threshold,
     write_campaign_files,
 )
 
-from conftest import k4_one_factorization, k33_cyclic, c4
+from conftest import c4, cells_csv, instances_csv, k4_one_factorization, k33_cyclic
 
 
 # ------------------------------------------------------------ seed derivation
@@ -114,11 +113,16 @@ def test_node_budget_hit_is_inconclusive_never_ok_or_failure():
     assert result.violations == [] and result.witness_files == []
 
 
+def test_repeated_delta_is_rejected():
+    with pytest.raises(ValueError, match="repeated minimum degree"):
+        run_campaign(CampaignConfig(deltas=(2, 3, 2), samples=1))
+
+
 def test_campaign_is_reproducible_byte_for_byte():
     first = run_campaign(SMALL)
     second = run_campaign(SMALL)
-    assert cells_to_csv(first) == cells_to_csv(second)
-    assert instances_to_csv(first) == instances_to_csv(second)
+    assert cells_csv(first) == cells_csv(second)
+    assert instances_csv(first) == instances_csv(second)
     assert campaign_to_json(first) == campaign_to_json(second)
 
 
@@ -147,10 +151,10 @@ def test_campaign_json_payload_is_complete():
 
 def test_csv_shapes():
     result = run_campaign(SMALL)
-    cells_lines = cells_to_csv(result).splitlines()
+    cells_lines = cells_csv(result).splitlines()
     assert cells_lines[0].startswith("config_hash,delta,n,instances,ok")
     assert len(cells_lines) == 2
-    inst_lines = instances_to_csv(result).splitlines()
+    inst_lines = instances_csv(result).splitlines()
     assert len(inst_lines) == 7
     assert inst_lines[1].count(",") == inst_lines[0].count(",")
     # booleans encode as 1/0 and unknowns as empty cells
@@ -188,10 +192,11 @@ def test_scan_handles_zero_samples():
 
 def test_scan_serialisations_round_trip():
     rows = run_scan(2, [6, 7], samples=4, master_seed=1)
-    text = scan_to_csv(rows)
+    text = records_to_csv(rows, ScanRow)
     lines = text.splitlines()
     assert lines[0] == "delta,n,samples,failures,inconclusive,failure_rate"
     assert len(lines) == 3
-    payload = json.loads(scan_to_json(rows))
+    payload = json.loads(json.dumps(to_json(rows)))
     assert [row["n"] for row in payload] == [6, 7]
-    assert scan_to_csv(run_scan(2, [6, 7], samples=4, master_seed=1)) == text
+    assert records_to_csv(run_scan(2, [6, 7], samples=4, master_seed=1),
+                          ScanRow) == text

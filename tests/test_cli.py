@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,17 @@ from pathlib import Path
 import pytest
 
 import rainbowmatch
-from rainbowmatch import dumps_graph, dumps_square, parse_graph
+from rainbowmatch import (
+    Matching,
+    SolveResult,
+    campaigns,
+    dumps_graph,
+    dumps_square,
+    greedy_proper_coloring,
+    latin_to_graph,
+    parse_graph,
+    random_graph_min_degree,
+)
 from rainbowmatch.cli import main
 from rainbowmatch.latin import cyclic_square
 
@@ -129,8 +140,20 @@ def test_verify_json_output_file(tmp_path, capsys):
 
 
 def test_verify_empty_deltas(capsys):
-    assert main(["verify", "--deltas", "", "--samples", "1"]) == 0
-    assert capsys.readouterr().out.startswith("config ")
+    # An empty sweep would print a clean report having checked nothing.
+    for deltas in ("", "5..2"):
+        assert main(["verify", "--deltas", deltas, "--samples", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: empty list")
+
+
+def test_verify_rejects_repeated_delta(tmp_path, capsys):
+    assert main(["verify", "--deltas", "2,2", "--samples", "3",
+                 "--recolorings", "1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: repeated minimum degree")
+    assert not any(tmp_path.iterdir())
+
 
 
 # --------------------------------------------------------------------- scan
@@ -179,6 +202,15 @@ def test_certify_runs_without_numpy():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == CERTIFY_DELTA_2_LINE
+
+
+@pytest.mark.parametrize("deltas", ["5..2", ","])
+def test_certify_rejects_empty_range(deltas, capsys):
+    # An empty range must not read as a passed certificate.
+    assert main(["certify", deltas]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: empty list")
 
 
 def test_certify_rejects_degenerate_delta(capsys):
@@ -307,3 +339,101 @@ def test_no_command_prints_usage(capsys):
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert "solve" in capsys.readouterr().out
+
+
+# ------------------------------------------------------------------- pins
+
+def _no_solver(graph, *args, **kwargs):
+    """A solver that proves every instance has no rainbow edge at all."""
+    return SolveResult(Matching(), 0, True, 1)
+
+
+def test_cli_result_files_are_pinned(tmp_path, capsys, monkeypatch, k4_file,
+                                     pend_file):
+    # sha256 of every result the CLI writes, taken before the result
+    # records shared one writer.  Each entry joins stdout and the files the
+    # command wrote, in name order.
+    def run(argv, code=0, out_dir=None):
+        assert main(argv) == code
+        text = capsys.readouterr().out
+        if out_dir is not None:
+            for path in sorted(Path(out_dir).iterdir()):
+                text += f"== {path.name}\n" + path.read_text()
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    verify = ["verify", "--deltas", "2,3", "--recolorings", "1"]
+    digests = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"plain-{fmt}"
+        digests[f"verify {fmt}"] = run(
+            verify + ["--samples", "3", "--seed", "7", "--out", str(out),
+                      "--format", fmt], out_dir=out)
+        # A 3-node budget leaves witnessed records, unknown ones, and proven
+        # noes whose optimum search ran out.
+        out = tmp_path / f"budget-{fmt}"
+        digests[f"verify budget {fmt}"] = run(
+            verify + ["--n-rule", "fixed:5", "--samples", "4", "--seed", "3",
+                      "--budget", "3", "--out", str(out), "--format", fmt],
+            out_dir=out)
+    scan = ["scan", "--delta", "2", "--n-min", "4", "--n-max", "7",
+            "--samples", "6", "--seed", "3", "--budget", "3"]
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"scan-{fmt}"
+        out.mkdir()
+        digests[f"scan {fmt}"] = run(
+            scan + ["--format", fmt, "--out", str(out / "scan")], out_dir=out)
+    rnd = tmp_path / "random.txt"
+    rnd.write_text(dumps_graph(greedy_proper_coloring(
+        random_graph_min_degree(16, 4, 5), 5)))
+    for name, argv in (("k4", [k4_file]), ("random", [str(rnd)]),
+                       ("pend", [pend_file, "--target", "2", "--budget", "5"])):
+        digests[f"solve {name}"] = run(
+            ["solve", *argv, "--engine", "--format", "json"])
+    k66 = tmp_path / "k66.txt"
+    k66.write_text(dumps_graph(latin_to_graph(cyclic_square(6))))
+    gadget = tmp_path / "gadget.txt"
+    gadget.write_text("g 8\ne 0 1 1\ne 2 3 1\ne 4 5 1\ne 0 6 2\ne 1 7 3\n")
+    digests["audit k4"] = run(["audit", k4_file, "--target", "2"])
+    digests["audit k66"] = run(["audit", str(k66), "--target", "6"])
+    digests["audit gadget"] = run(
+        ["audit", str(gadget), "--target", "2", "--matching", "0,1,1",
+         "--mono-color", "2"], code=3)
+    # Only a wrong solver can break the guarantees, so one stands in here to
+    # drive the violation lines and the witness dumps.
+    monkeypatch.setattr(campaigns, "solve_decision", _no_solver)
+    monkeypatch.setattr(campaigns, "max_rainbow_matching", _no_solver)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"witness-{fmt}"
+        digests[f"verify witness {fmt}"] = run(
+            verify + ["--samples", "2", "--seed", "1", "--out", str(out),
+                      "--format", fmt], code=3, out_dir=out)
+    assert digests == {
+        "audit gadget":
+            "ebaf4c107bb4a8dda386ec75939587493d9f30113de48fee3e823eddc1f1cadb",
+        "audit k4":
+            "b3948c2a983d24a4628975ba467105a7638c7893cc094956aae2fbaf3ec26137",
+        "audit k66":
+            "17f2a8f924e4b1db5589177560663fd323b8bfddba559e4b8bc576b1c1999f5c",
+        "scan csv":
+            "01c89195b619d210b7e1a5eb1991a0fb37dde889d5db7cc85391af4758ad8aaa",
+        "scan json":
+            "d88cd1d9611cf05dc41cedd32b365cc5ad1edc39398fc096dd6a7f8e7c9e2aa4",
+        "solve k4":
+            "2c0347c088abf273071a932eb3f74dfb5dc11a1a6bcee87c055ebc617ff47682",
+        "solve pend":
+            "cd5bf47484481c0cf8622e23dd91702eac8e63772a85fd469541158a3b28b285",
+        "solve random":
+            "0974cf326b98053ed2577851c6051a9216b38d068d9b702206019b74a1721126",
+        "verify budget csv":
+            "c4cc1610762215e2b2f84f3787f593012ee8352b95d16d500c9a3a98d136fef1",
+        "verify budget json":
+            "63ab46ed64cf6788172d0439152cc9a47432dd59abea974d122831468dcb7edc",
+        "verify csv":
+            "98a0ad04cc61a46d9bcf7c518c26d29a81b2185950b7f2e001f9b67170270ecd",
+        "verify json":
+            "411ba256c2d1dfa3e6d28020c862ebeca8fa88f3d3d05f4fb9220c38a39f1d49",
+        "verify witness csv":
+            "86a26ce58955d8cc8911e78dd5bc3c52cb6f3a2aa327ce3fd684b7b503a7cd39",
+        "verify witness json":
+            "5155befda07f46c0e07e773d6d198d63377957f1af1e5d50dd2e6e3212b6384b",
+    }

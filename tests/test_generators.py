@@ -10,10 +10,8 @@ from rainbowmatch import (
     CampaignConfig,
     InfeasibleDegree,
     OrderTooLarge,
-    cells_to_csv,
     color_classes,
     greedy_proper_coloring,
-    instances_to_csv,
     min_degree,
     one_factorization,
     random_graph_min_degree,
@@ -21,7 +19,7 @@ from rainbowmatch import (
     run_campaign,
 )
 
-from conftest import independent_is_proper
+from conftest import cells_csv, independent_is_proper, instances_csv
 
 
 def degrees(simple):
@@ -147,7 +145,7 @@ def test_small_campaign_files_are_pinned():
     res = run_campaign(CampaignConfig(deltas=(2, 3, 4), samples=8,
                                       recolorings=2, master_seed=11))
     digests = [hashlib.sha256(text.encode()).hexdigest()
-               for text in (cells_to_csv(res), instances_to_csv(res))]
+               for text in (cells_csv(res), instances_csv(res))]
     assert digests == [
         "ac37be6bbfb90980d67f4da2b652cca370495d6aa187f3239c46a4920b09a8e9",
         "ce6eac545ec6eceb6f512d75066ee6324b12805574a84d4338fe3cf52688c3fd",
