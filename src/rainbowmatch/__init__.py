@@ -32,9 +32,9 @@ from .errors import (
     NotStuck,
     OrderTooLarge,
     ParseError,
-    RecursionBudget,
     UnknownEdge,
     WrongColourCount,
+    WrongWitness,
 )
 from .graphs import (
     Edge,
@@ -127,9 +127,9 @@ __all__ = [
     "Edge", "EdgeColoredGraph", "Error", "ImproperColoring",
     "InfeasibleDegree", "InstanceRecord", "InvalidState", "LatinSquare",
     "LoopEdge", "MatchedPair", "Matching", "NotCompleteBipartite", "NotStuck",
-    "OrderTooLarge", "ParseError", "RecursionBudget", "RuleStep", "ScanRow",
-    "SearchEvent", "SimpleGraph", "SolveResult", "UnknownEdge",
-    "WrongColourCount", "applicable_rules", "audit_state", "audit_stuck_state",
+    "OrderTooLarge", "ParseError", "RuleStep", "ScanRow", "SearchEvent",
+    "SimpleGraph", "SolveResult", "UnknownEdge", "WrongColourCount",
+    "WrongWitness", "applicable_rules", "audit_state", "audit_stuck_state",
     "bound_n", "build_graph", "campaign_to_json",
     "certify_counting_bound", "color_classes", "count_rainbow_matchings",
     "count_transversals", "cyclic_square", "derive_seed", "dump_graph",

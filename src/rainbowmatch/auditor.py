@@ -351,8 +351,8 @@ def applicable_rules(graph: EdgeColoredGraph, matching: Matching,
     """Names of the engine rules that fire on this state; audit helper.
 
     Vertex reduce aims at ``target``, by default one past the matching's
-    size, as the engine does.  ``node_budget`` bounds the exchange and each
-    search of vertex reduce; hitting it raises :class:`BudgetExceeded`.
+    size, as the engine does.  ``node_budget`` bounds the exchange and vertex
+    reduce's decide call; hitting it raises :class:`BudgetExceeded`.
     """
     names = []
     if rule_direct(graph, matching) is not None:
@@ -362,7 +362,7 @@ def applicable_rules(graph: EdgeColoredGraph, matching: Matching,
     if rule_exchange(graph, matching, max_exchange_depth, node_budget) is not None:
         names.append("exchange")
     goal = target if target is not None else len(matching) + 1
-    if rule_vertex_reduce(graph, goal, max_exchange_depth, node_budget) is not None:
+    if rule_vertex_reduce(graph, goal, node_budget) is not None:
         names.append("vertex-reduce")
     return names
 

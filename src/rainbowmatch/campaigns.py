@@ -18,7 +18,8 @@ from pathlib import Path
 
 from .engine import run_engine
 from .generators import greedy_proper_coloring, random_graph_min_degree
-from .graphs import EdgeColoredGraph, bound_n, min_degree
+from .errors import WrongWitness
+from .graphs import EdgeColoredGraph, bound_n, is_rainbow_matching, min_degree
 from .io import dumps_graph, records_to_csv, to_json
 from .solver import max_rainbow_matching, solve_decision
 
@@ -143,14 +144,23 @@ def _verdict(size: int, optimal: bool, need: int) -> bool | None:
     return False if optimal else None
 
 
+def _checked(graph: EdgeColoredGraph, res):
+    """``res``, once its witness is a rainbow matching of ``res.size``
+    edges in ``graph``; every True verdict rests on a checked witness.
+    Raises :class:`WrongWitness` otherwise, so a wrong one is never counted."""
+    if len(res.best) != res.size or not is_rainbow_matching(graph, res.best):
+        raise WrongWitness(f"size {res.size} reported with witness {res.best!r}")
+    return res
+
+
 def _evaluate_instance(graph, delta, config, rec_common, out_dir, result):
     """Solve one colouring exactly, run the engine, apply the weaker-bound
     checks, and append the record (dumping a witness on any violation)."""
-    res = final = solve_decision(graph, delta, config.node_budget)
+    res = final = _checked(graph, solve_decision(graph, delta, config.node_budget))
     nodes = res.nodes_explored
     if res.size < delta and res.optimal:
         # Definite negative; get the true optimum for the weaker checks.
-        final = max_rainbow_matching(graph, config.node_budget)
+        final = _checked(graph, max_rainbow_matching(graph, config.node_budget))
         nodes += final.nodes_explored
     found_size = final.size
     theorem_applicable = graph.n >= bound_n(delta)
@@ -231,7 +241,7 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
         cell_records = result.records[first:]
         ok = sum(1 for r in cell_records if r.theorem_ok is True)
         failures = sum(1 for r in cell_records if r.theorem_ok is False)
-        inconclusive = sum(1 for r in cell_records if r.status == "inconclusive")
+        inconclusive = sum(1 for r in cell_records if r.theorem_ok is None)
         total = len(cell_records)
         engine_ok = sum(1 for r in cell_records if r.engine_size >= delta)
         result.cells.append(CellResult(
@@ -271,7 +281,7 @@ def run_scan(delta: int, n_values, samples: int, master_seed: int,
             base = random_graph_min_degree(n, delta, gseed, extra_edge_prob)
             cseed = derive_seed(master_seed, "scan-color", delta, n, i)
             graph = greedy_proper_coloring(base, cseed)
-            res = solve_decision(graph, delta, node_budget)
+            res = _checked(graph, solve_decision(graph, delta, node_budget))
             verdict = _verdict(res.size, res.optimal, delta)
             failures += verdict is False
             inconclusive += verdict is None

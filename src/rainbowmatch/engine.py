@@ -10,8 +10,9 @@ or nothing fires:
 * exchange: remove up to ``k`` matched edges and insert ``k + 1``
   replacement edges keeping the matching rainbow, found by the solver's
   exact core in decide mode from the kept edges;
-* vertex reduce: delete one vertex of very high degree, solve the smaller
-  target recursively, and extend back through that vertex by pigeonhole.
+* vertex reduce: delete one vertex of very high degree, find a matching
+  of the smaller target in the rest with one decide call, and extend back
+  through that vertex by pigeonhole.
 
 Every rule either returns a rainbow matching exactly one edge larger or
 reports non-applicability, so a trace replays deterministically.
@@ -22,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import BudgetExceeded, RecursionBudget
+from .errors import BudgetExceeded, UnknownEdge
 from .graphs import Edge, EdgeColoredGraph, Matching
-from .solver import (SolveResult, _colour_bits, _matching, _options, _search,
-                     rainbow_matching_at_least)
+from .solver import SolveResult, _matching, _search, rainbow_matching_at_least
 
 RULE_SEED = "R-seed"
 RULE_DIRECT = "R-direct"
@@ -94,7 +94,8 @@ def rule_exchange(graph: EdgeColoredGraph, matching: Matching, depth: int = 3,
     ``removals + 1`` edges fit beside the kept ones, and its first witness
     is taken.  Returns the first strictly larger rainbow matching found.
     ``node_budget`` bounds the total core node count; hitting it raises
-    :class:`BudgetExceeded`.
+    :class:`BudgetExceeded`.  A matched edge absent from the graph raises
+    :class:`UnknownEdge`.
     """
     found, _removals, budget_hit = _exchange(graph, matching, depth, node_budget, [0])
     if budget_hit:
@@ -106,21 +107,26 @@ def _exchange(graph, matching, depth, budget, counter):
     """The walk behind :func:`rule_exchange`: ``(matching or None, removals,
     budget hit)``.  Core nodes add up in ``counter[0]``, capped by ``budget``."""
     medges = matching.edges
-    options = _options(graph)
-    colour_bit = _colour_bits(graph)
-    colours = (1 << len(colour_bit)) - 1
+    # Each matched edge's two vertex bits and colour bit, off the option table.
+    bits = []
+    for u, v, c in medges:
+        if not graph.has_edge(u, v, c):
+            raise UnknownEdge(f"edge ({u}, {v}, {c}) is not in the graph")
+        bits.extend(((1 << u) | vb, cb) for vb, cb, _idx in graph.options[u]
+                    if vb == 1 << v)
     for removals in range(1, min(depth, len(medges)) + 1):
         for removed_idx in combinations(range(len(medges)), removals):
-            keep = [e for i, e in enumerate(medges) if i not in removed_idx]
             used_v = used_c = 0
-            for u, v, c in keep:
-                used_v |= (1 << u) | (1 << v)
-                used_c |= colour_bit[c]
-            run = _search(options, colours, removals + 1,
+            for i, (vbits, cb) in enumerate(bits):
+                if i not in removed_idx:
+                    used_v |= vbits
+                    used_c |= cb
+            run = _search(graph, removals + 1,
                           None if budget is None else budget - counter[0],
                           used_v, used_c)
             counter[0] += run.nodes
             if run.size > removals:
+                keep = [e for i, e in enumerate(medges) if i not in removed_idx]
                 return Matching(keep + list(_matching(graph, run.best))), removals, False
             if run.budget_hit:
                 return None, removals, True
@@ -159,18 +165,17 @@ def rule_mono(graph: EdgeColoredGraph, matching: Matching) -> Matching | None:
 
 
 def rule_vertex_reduce(graph: EdgeColoredGraph, target: int,
-                       max_exchange_depth: int = 3,
-                       node_budget: int | None = None,
-                       recursion_budget: int = 8) -> Matching | None:
+                       node_budget: int | None = None) -> Matching | None:
     """Reach ``target`` through a vertex of degree above 3*(target - 1).
 
     Deletes the single highest-degree qualifying vertex (ties broken by
     lowest id), finds a rainbow matching of size ``target - 1`` in the rest
-    (engine first, exact search as fallback), then adds a pigeonhole edge
-    back at the deleted vertex: with degree above 3*(target - 1), at most
-    2*(target - 1) incident edges are blocked by matched vertices and at
-    most target - 1 by used colours, so a compatible edge survives whenever
-    the smaller matching exists.
+    with one decide call, then adds a pigeonhole edge back at the deleted
+    vertex: with degree above 3*(target - 1), at most 2*(target - 1)
+    incident edges are blocked by matched vertices and at most target - 1
+    by used colours, so a compatible edge survives whenever the smaller
+    matching exists.  The decide call raises :class:`BudgetExceeded` when
+    ``node_budget`` runs out before it decides.
     """
     if target < 1:
         return None
@@ -182,19 +187,10 @@ def rule_vertex_reduce(graph: EdgeColoredGraph, target: int,
             pivot = v
     if pivot is None:
         return None
-    if recursion_budget <= 0:
-        raise RecursionBudget("vertex reduction nested too deeply")
-    rest = graph.without_vertex(pivot)
-    sub = run_engine(rest, target - 1, max_exchange_depth,
-                     node_budget=node_budget,
-                     _recursion_budget=recursion_budget - 1).best
-    if len(sub) > target - 1:
-        sub = Matching(sub.edges[: target - 1])
-    elif len(sub) < target - 1:
-        exact = rainbow_matching_at_least(rest, target - 1, node_budget)
-        if exact is None:
-            return None
-        sub = exact
+    sub = rainbow_matching_at_least(graph.without_vertex(pivot), target - 1,
+                                    node_budget)
+    if sub is None:
+        return None
     used_v = sub.vertices
     used_c = set(sub.colors)
     for idx in graph.incidence[pivot]:
@@ -207,15 +203,14 @@ def rule_vertex_reduce(graph: EdgeColoredGraph, target: int,
 
 def run_engine(graph: EdgeColoredGraph, target: int,
                max_exchange_depth: int = 3,
-               node_budget: int | None = None,
-               _recursion_budget: int = 8) -> SolveResult:
+               node_budget: int | None = None) -> SolveResult:
     """Greedy seed, then rules in priority order until target or no rule
     fires.
 
     Priority: direct, mono, exchange at depths 1..max_exchange_depth,
     vertex reduce (aimed one past the current size, so every step nets
     exactly +1).  ``node_budget`` caps the run's exchange core nodes
-    (``nodes_explored``) and each exact search of vertex reduce; hitting
+    (``nodes_explored``) and vertex reduce's decide call; hitting
     it adds a note to the trace and is never raised.  The result is a
     heuristic: ``optimal`` is always False.
     """
@@ -227,8 +222,7 @@ def run_engine(graph: EdgeColoredGraph, target: int,
     exchange_counter = [0]
     while len(current) < target:
         improved, rule, note = _next_move(
-            graph, current, max_exchange_depth, node_budget,
-            _recursion_budget, exchange_counter)
+            graph, current, max_exchange_depth, node_budget, exchange_counter)
         if note:
             steps.append(RuleStep(rule, (), (), note=note))
         if improved is None:
@@ -250,8 +244,7 @@ def run_engine(graph: EdgeColoredGraph, target: int,
     )
 
 
-def _next_move(graph, current, max_depth, node_budget, recursion_budget,
-               counter):
+def _next_move(graph, current, max_depth, node_budget, counter):
     found = rule_direct(graph, current)
     if found is not None:
         return found, RULE_DIRECT, ""
@@ -264,9 +257,8 @@ def _next_move(graph, current, max_depth, node_budget, recursion_budget,
     if found is not None:
         return found, rule_exchange_name(removals), ""
     try:
-        found = rule_vertex_reduce(graph, len(current) + 1, max_depth,
-                                   node_budget, recursion_budget)
-    except (RecursionBudget, BudgetExceeded) as exc:
+        found = rule_vertex_reduce(graph, len(current) + 1, node_budget)
+    except BudgetExceeded as exc:
         return None, RULE_VERTEX_REDUCE, str(exc)
     if found is not None:
         return found, RULE_VERTEX_REDUCE, ""

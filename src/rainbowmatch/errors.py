@@ -42,8 +42,8 @@ class BudgetExceeded(Error):
     """A search exhausted its node budget before finishing."""
 
 
-class RecursionBudget(Error):
-    """Vertex reduction exceeded its nesting allowance."""
+class WrongWitness(Error):
+    """A solver's witness is not a rainbow matching of the size it reports."""
 
 
 class InvalidState(Error):

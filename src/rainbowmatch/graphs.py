@@ -24,10 +24,17 @@ class EdgeColoredGraph:
     :class:`ValueError` names the offending value.  Input edge order never
     matters: edges are normalised to ``u < v`` and stored sorted, so equal
     graphs compare and serialise identically.  When the sorted edges hold
-    several repeated pairs or colour clashes, the first one is reported.
+    several repeated pairs or colour clashes, the first one is reported; a
+    clash at both endpoints names the earlier edge at the lower one.
+
+    ``colors`` is the frozenset of colours used.  ``options`` is the
+    per-vertex table the solver walks: for each incident edge, in
+    increasing edge id, the other endpoint's bit ``1 << w``, the colour's
+    bit ``1 << rank`` (its rank among ``sorted(colors)``) and the edge id.
+    The pass that validates fills it, and ``incidence`` is read off it.
     """
 
-    __slots__ = ("n", "edges", "incidence", "_color_by_pair")
+    __slots__ = ("n", "edges", "incidence", "options", "colors", "_color_by_pair")
 
     def __init__(self, n: int, edges) -> None:
         if type(n) is not int:
@@ -48,28 +55,37 @@ class EdgeColoredGraph:
                 raise ValueError(f"colour must be a positive integer, got {color!r}")
             normalised.append((u, v, color) if u < v else (v, u, color))
         normalised.sort()
+        colors = frozenset(e[2] for e in normalised)
+        colour_bit = {c: 1 << r for r, c in enumerate(sorted(colors))}
         # One pass in sorted order checks each edge for a repeated pair and
-        # against the colours already seen at both of its endpoints.
+        # against the colour bits already seen at both of its endpoints.
         by_pair: dict[tuple[int, int], int] = {}
-        incidence: list[list[int]] = [[] for _ in range(n)]
-        seen: list[dict[int, Edge]] = [{} for _ in range(n)]
+        vertex_bit = [1 << w for w in range(n)]
+        options: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        seen = [0] * n
         for idx, edge in enumerate(normalised):
             u, v, color = edge
             pair = (u, v)
             if pair in by_pair:
                 raise DuplicateEdge(f"vertex pair ({u}, {v}) appears more than once")
             by_pair[pair] = color
+            cb = colour_bit[color]
             at_u = seen[u]
             at_v = seen[v]
-            clash = at_u.get(color) or at_v.get(color)
-            if clash is not None:
-                raise ImproperColoring(clash, edge)
-            at_u[color] = at_v[color] = edge
-            incidence[u].append(idx)
-            incidence[v].append(idx)
+            if (at_u | at_v) & cb:
+                at = u if at_u & cb else v
+                clash = next(i for _w, b, i in options[at] if b == cb)
+                raise ImproperColoring(normalised[clash], edge)
+            seen[u] = at_u | cb
+            seen[v] = at_v | cb
+            options[u].append((vertex_bit[v], cb, idx))
+            options[v].append((vertex_bit[u], cb, idx))
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(normalised)
-        self.incidence: tuple[tuple[int, ...], ...] = tuple(tuple(ix) for ix in incidence)
+        self.incidence: tuple[tuple[int, ...], ...] = tuple(
+            tuple([i for _w, _b, i in opts]) for opts in options)
+        self.options: tuple[tuple[tuple[int, int, int], ...], ...] = tuple(map(tuple, options))
+        self.colors = colors
         self._color_by_pair = by_pair
 
     def degree(self, v: int) -> int:
@@ -77,10 +93,6 @@ class EdgeColoredGraph:
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(ix) for ix in self.incidence)
-
-    @property
-    def colors(self) -> frozenset[int]:
-        return frozenset(e[2] for e in self.edges)
 
     def color_of(self, u: int, v: int) -> int | None:
         """Colour of the edge joining u and v, or None if absent."""

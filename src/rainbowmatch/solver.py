@@ -19,10 +19,12 @@ counts the last edge of each matching in place rather than visiting it.
 On a Latin square's K_{n,n} encoding this is the row-by-row walk of
 ``count_transversals``.
 
-Both walks read one per-vertex option table.  Colour bits are indexed by
-the colour's rank among the graph's colours, never by the colour value
-itself.  Each walk keeps an explicit stack, so no graph is too deep for
-it and the interpreter's recursion limit is never touched.  They are
+Both walks read the graph's per-vertex option table, which
+:class:`~rainbowmatch.graphs.EdgeColoredGraph` fills while it validates,
+so a solve has no setup pass of its own.  Colour bits are indexed by the
+colour's rank among the graph's colours, never by the colour value itself.
+Each walk keeps an explicit stack, so no graph is too deep for it and the
+interpreter's recursion limit is never touched.  They are
 deterministic: identical inputs give identical trees, traces and node
 counts.  Each call is single-threaded; calls on different graphs can run
 concurrently.
@@ -74,37 +76,19 @@ class _Run:
     budget_hit: bool
 
 
-def _colour_bits(graph: EdgeColoredGraph) -> dict[int, int]:
-    """Each colour's bitmask bit, by its rank among the graph's colours."""
-    return {c: 1 << r for r, c in enumerate(sorted(graph.colors))}
-
-
-def _options(graph: EdgeColoredGraph) -> list[tuple]:
-    """Per vertex, (other endpoint's bit, colour bit, edge id) for each
-    incident edge, in increasing edge id."""
-    colour_bit = _colour_bits(graph)
-    edges = graph.edges
-    options = []
-    for v, idxs in enumerate(graph.incidence):
-        opts = []
-        for idx in idxs:
-            a, b, c = edges[idx]
-            opts.append((1 << (b if a == v else a), colour_bit[c], idx))
-        options.append(tuple(opts))
-    return options
-
-
-def _search(options, colours: int, target: int | None,
+def _search(graph: EdgeColoredGraph, target: int | None,
             node_budget: int | None, used_v: int = 0, used_c: int = 0) -> _Run:
-    """Vertex-branching branch and bound over the option table.
+    """Vertex-branching branch and bound over the graph's option table.
 
-    ``colours`` is the mask of every colour bit.  With ``target`` None the
-    search maximises; otherwise it stops at the first matching of
-    ``target`` edges.  ``used_v`` and ``used_c`` mark vertices and colours
-    already taken, and the sizes counted are of the edges added to them.
+    With ``target`` None the search maximises; otherwise it stops at the
+    first matching of ``target`` edges.  ``used_v`` and ``used_c`` mark
+    vertices and colours already taken, and the sizes counted are of the
+    edges added to them.
     The search stops before it would visit node ``node_budget + 1``.
     """
-    everyone = (1 << len(options)) - 1
+    options = graph.options
+    everyone = (1 << graph.n) - 1
+    colours = (1 << len(graph.colors)) - 1
     limit = math.inf if node_budget is None else node_budget
     maximise = target is None
     need = 1 if maximise else target
@@ -144,12 +128,6 @@ def _search(options, colours: int, target: int | None,
     return _Run(best, best_size, nodes, events, False)
 
 
-def _solve(graph: EdgeColoredGraph, target: int | None,
-           node_budget: int | None) -> _Run:
-    colours = (1 << len(graph.colors)) - 1
-    return _search(_options(graph), colours, target, node_budget)
-
-
 def _matching(graph: EdgeColoredGraph, chain) -> Matching:
     picked = []
     while chain is not None:
@@ -165,7 +143,7 @@ def max_rainbow_matching(graph: EdgeColoredGraph,
     With a node budget the search may stop early; the result then carries
     the incumbent with ``optimal=False``.
     """
-    run = _solve(graph, None, node_budget)
+    run = _search(graph, None, node_budget)
     return SolveResult(
         best=_matching(graph, run.best),
         size=run.size,
@@ -200,7 +178,7 @@ def solve_decision(graph: EdgeColoredGraph, k: int,
     """
     if k <= 0:
         return SolveResult(Matching(), 0, True, 0, ())
-    run = _solve(graph, k, node_budget)
+    run = _search(graph, k, node_budget)
     return SolveResult(
         best=_matching(graph, run.best),
         size=run.size,
@@ -225,7 +203,7 @@ def count_rainbow_matchings(graph: EdgeColoredGraph, size: int,
         return 0
     if size == 0:
         return 1
-    options = _options(graph)
+    options = graph.options
     everyone = (1 << graph.n) - 1
     limit = math.inf if node_budget is None else node_budget
     nodes = count = 0

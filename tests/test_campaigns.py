@@ -4,10 +4,14 @@ import pytest
 
 from rainbowmatch import (
     CampaignConfig,
+    Matching,
     ScanRow,
+    SolveResult,
+    WrongWitness,
     bound_n,
     build_graph,
     campaign_to_json,
+    campaigns,
     derive_seed,
     greedy_proper_coloring,
     lesaulnier_exception,
@@ -111,6 +115,20 @@ def test_node_budget_hit_is_inconclusive_never_ok_or_failure():
         assert (cell.ok, cell.failures) == (0, 0)
         assert cell.inconclusive == cell.instances
     assert result.violations == [] and result.witness_files == []
+
+
+def _wrong_witness(graph, k, *args, **kwargs):
+    """A solver that reports size k with k edges that all meet vertex 0."""
+    edges = [graph.edges[i] for i in graph.incidence[0][:k]]
+    return SolveResult(Matching(edges), k, True, 1)
+
+
+def test_wrong_witness_raises_and_is_never_counted(monkeypatch):
+    monkeypatch.setattr(campaigns, "solve_decision", _wrong_witness)
+    with pytest.raises(WrongWitness):
+        run_campaign(SMALL)
+    with pytest.raises(WrongWitness):
+        run_scan(2, [7], 1, 0)
 
 
 def test_repeated_delta_is_rejected():

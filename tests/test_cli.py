@@ -155,6 +155,22 @@ def test_verify_rejects_repeated_delta(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_verify_cell_counts_partition_the_instances(tmp_path, capsys):
+    # A 3-node budget leaves proven noes whose optimum search ran out: each
+    # counts once, as a failure, and not also as inconclusive.
+    assert main(["verify", "--deltas", "2,3", "--n-rule", "fixed:5",
+                 "--samples", "4", "--recolorings", "1", "--seed", "3",
+                 "--budget", "3", "--out", str(tmp_path)]) == 0
+    cells = [dict(field.split("=") for field in line.split())
+             for line in capsys.readouterr().out.splitlines()
+             if line.startswith("delta=")]
+    assert len(cells) == 2
+    for cell in cells:
+        assert (int(cell["ok"]) + int(cell["failures"])
+                + int(cell["inconclusive"])) == int(cell["instances"])
+    assert (cells[1]["failures"], cells[1]["inconclusive"]) == ("8", "0")
+
+
 
 # --------------------------------------------------------------------- scan
 
@@ -352,7 +368,9 @@ def test_cli_result_files_are_pinned(tmp_path, capsys, monkeypatch, k4_file,
                                      pend_file):
     # sha256 of every result the CLI writes, taken before the result
     # records shared one writer.  Each entry joins stdout and the files the
-    # command wrote, in name order.
+    # command wrote, in name order.  The two "verify budget" digests were
+    # retaken when a cell's inconclusive count became the records whose
+    # theorem verdict is unknown: its proven noes no longer count there.
     def run(argv, code=0, out_dir=None):
         assert main(argv) == code
         text = capsys.readouterr().out
@@ -425,9 +443,9 @@ def test_cli_result_files_are_pinned(tmp_path, capsys, monkeypatch, k4_file,
         "solve random":
             "0974cf326b98053ed2577851c6051a9216b38d068d9b702206019b74a1721126",
         "verify budget csv":
-            "c4cc1610762215e2b2f84f3787f593012ee8352b95d16d500c9a3a98d136fef1",
+            "5b89398ee4552640113fc60667733c9afb9d47d4fc67cc5d8efc1dbd17aec47d",
         "verify budget json":
-            "63ab46ed64cf6788172d0439152cc9a47432dd59abea974d122831468dcb7edc",
+            "d0dfccae05106cd6d94f9a8d62e99fbef519235bcbbfec47406a4a01e21024da",
         "verify csv":
             "98a0ad04cc61a46d9bcf7c518c26d29a81b2185950b7f2e001f9b67170270ecd",
         "verify json":

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rainbowmatch import (
     BudgetExceeded,
     Matching,
-    RecursionBudget,
+    UnknownEdge,
     bound_n,
     build_graph,
     greedy_proper_coloring,
@@ -86,6 +86,13 @@ def test_exchange_improves_single_edge_on_c4():
     out = rule_exchange(g, Matching([(1, 2, 2)]), 1)
     assert out is not None
     assert out.edges == ((0, 1, 1), (2, 3, 3))
+
+
+def test_exchange_rejects_a_matched_edge_absent_from_the_graph():
+    g = build_graph(4, [(0, 1, 1), (2, 3, 2), (1, 2, 3)])
+    for edge in [(0, 3, 1), (0, 1, 2)]:
+        with pytest.raises(UnknownEdge):
+            rule_exchange(g, Matching([edge]))
 
 
 def test_exchange_absent_at_optimum_on_k4():
@@ -185,9 +192,16 @@ def test_vertex_reduce_target_one():
     assert out is not None and len(out) == 1
 
 
-def test_vertex_reduce_without_recursion_budget_raises():
-    with pytest.raises(RecursionBudget):
-        rule_vertex_reduce(k4_one_factorization(), 1, recursion_budget=0)
+def test_vertex_reduce_fires_inside_an_engine_run():
+    # Vertex 0 has degree 7 > 3; greedy takes 01, every other edge meets 0
+    # or 1, no other edge has colour 1, and depth 0 turns the exchange off.
+    # The decide call finds 12 in the graph without 0, and 0 extends it.
+    g = build_graph(8, [(0, i, i) for i in range(1, 8)] + [(1, 2, 8)])
+    res = run_engine(g, 2, max_exchange_depth=0)
+    assert [s.rule for s in res.trace] == ["R-seed", "R-vertex-reduce"]
+    assert res.size == 2 and is_rainbow_matching(g, res.best)
+    assert res.best == Matching([(0, 3, 3), (1, 2, 8)])
+    assert replay_trace(res.trace) == res.best
 
 
 def test_vertex_reduce_inapplicable_below_degree_cap():

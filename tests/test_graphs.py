@@ -94,6 +94,30 @@ def test_edges_normalised_lower_vertex_first():
     assert g.has_edge(0, 2, 1) and g.has_edge(2, 0, 1)
 
 
+@pytest.mark.parametrize("edges, error, message", [
+    # Loops are rejected while the input is read, before any pair is compared.
+    ([(0, 1, 1), (1, 0, 2), (2, 2, 1)], LoopEdge, "loop at vertex 2"),
+    # Two repeated pairs: (0, 1) sorts first whatever the input order.
+    ([(3, 4, 1), (4, 3, 2), (1, 0, 6), (0, 1, 5)], DuplicateEdge,
+     "vertex pair (0, 1) appears more than once"),
+    # A repeated pair that sorts before two clashes.
+    ([(1, 2, 3), (0, 4, 9), (4, 0, 8), (1, 3, 3), (2, 3, 3)], DuplicateEdge,
+     "vertex pair (0, 4) appears more than once"),
+    # A clash that sorts before a repeated pair and a second clash.
+    ([(2, 3, 4), (3, 4, 4), (0, 2, 1), (3, 2, 5), (0, 1, 1)], ImproperColoring,
+     "edges (0, 1, 1) and (0, 2, 1) share a vertex and colour 1"),
+    # (2, 3, 1) clashes at both endpoints: the earlier edge at its lower
+    # endpoint is named, though (0, 3, 1) sorts before it.
+    ([(2, 3, 1), (0, 3, 1), (1, 2, 1)], ImproperColoring,
+     "edges (1, 2, 1) and (2, 3, 1) share a vertex and colour 1"),
+])
+def test_first_violation_in_sorted_order_is_reported(edges, error, message):
+    with pytest.raises(Exception) as exc:
+        build_graph(5, edges)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
 def test_edgeless_graph_degrees_are_zero():
     g = build_graph(0, [])
     assert min_degree(g) == 0 and max_degree(g) == 0
