@@ -74,8 +74,22 @@ def greedy_rainbow(graph: EdgeColoredGraph) -> Matching:
     return Matching(chosen)
 
 
+def _matched_bits(graph, matching):
+    """Each matched edge's two vertex bits and colour bit, off the option
+    table.  A matched edge absent from the graph raises :class:`UnknownEdge`."""
+    bits = []
+    for u, v, c in matching.edges:
+        if not graph.has_edge(u, v, c):
+            raise UnknownEdge(f"edge ({u}, {v}, {c}) is not in the graph")
+        bits.extend(((1 << u) | vb, cb) for vb, cb, _idx in graph.options[u]
+                    if vb == 1 << v)
+    return bits
+
+
 def rule_direct(graph: EdgeColoredGraph, matching: Matching) -> Matching | None:
-    """First edge (by id) with both endpoints free and an unused colour."""
+    """First edge (by id) with both endpoints free and an unused colour.
+    A matched edge absent from the graph raises :class:`UnknownEdge`."""
+    _matched_bits(graph, matching)
     used_v = matching.vertices
     used_c = set(matching.colors)
     for e in graph.edges:
@@ -107,13 +121,7 @@ def _exchange(graph, matching, depth, budget, counter):
     """The walk behind :func:`rule_exchange`: ``(matching or None, removals,
     budget hit)``.  Core nodes add up in ``counter[0]``, capped by ``budget``."""
     medges = matching.edges
-    # Each matched edge's two vertex bits and colour bit, off the option table.
-    bits = []
-    for u, v, c in medges:
-        if not graph.has_edge(u, v, c):
-            raise UnknownEdge(f"edge ({u}, {v}, {c}) is not in the graph")
-        bits.extend(((1 << u) | vb, cb) for vb, cb, _idx in graph.options[u]
-                    if vb == 1 << v)
+    bits = _matched_bits(graph, matching)
     for removals in range(1, min(depth, len(medges)) + 1):
         for removed_idx in combinations(range(len(medges)), removals):
             used_v = used_c = 0
@@ -139,8 +147,10 @@ def rule_mono(graph: EdgeColoredGraph, matching: Matching) -> Matching | None:
 
     Pattern: matched xy of colour i, a free edge uv also coloured i, and
     an edge from x or y to a free vertex w outside {u, v} whose colour is
-    absent from the matching.  Nets exactly one extra edge.
+    absent from the matching.  Nets exactly one extra edge.  A matched edge
+    absent from the graph raises :class:`UnknownEdge`.
     """
+    _matched_bits(graph, matching)
     used_v = matching.vertices
     used_c = set(matching.colors)
     for matched in matching.edges:
@@ -152,7 +162,7 @@ def rule_mono(graph: EdgeColoredGraph, matching: Matching) -> Matching | None:
             if u in used_v or v in used_v:
                 continue
             for z in (x, y):
-                for idx in graph.incidence[z]:
+                for _wb, _cb, idx in graph.options[z]:
                     pendant = graph.edges[idx]
                     w = pendant[1] if pendant[0] == z else pendant[0]
                     if w in used_v or w == u or w == v:
@@ -193,7 +203,7 @@ def rule_vertex_reduce(graph: EdgeColoredGraph, target: int,
         return None
     used_v = sub.vertices
     used_c = set(sub.colors)
-    for idx in graph.incidence[pivot]:
+    for _wb, _cb, idx in graph.options[pivot]:
         e = graph.edges[idx]
         other = e[1] if e[0] == pivot else e[0]
         if other not in used_v and e[2] not in used_c:

@@ -27,14 +27,15 @@ class EdgeColoredGraph:
     several repeated pairs or colour clashes, the first one is reported; a
     clash at both endpoints names the earlier edge at the lower one.
 
-    ``colors`` is the frozenset of colours used.  ``options`` is the
-    per-vertex table the solver walks: for each incident edge, in
-    increasing edge id, the other endpoint's bit ``1 << w``, the colour's
-    bit ``1 << rank`` (its rank among ``sorted(colors)``) and the edge id.
-    The pass that validates fills it, and ``incidence`` is read off it.
+    ``colors`` is the frozenset of colours used.  ``options`` is the one
+    adjacency table, filled by the pass that validates: for each incident
+    edge of a vertex, in increasing edge id, the other endpoint's bit
+    ``1 << w``, the colour's bit ``1 << rank`` (its rank among
+    ``sorted(colors)``) and the edge id.  Degrees, edge lookups and every
+    walk in the package read it.
     """
 
-    __slots__ = ("n", "edges", "incidence", "options", "colors", "_color_by_pair")
+    __slots__ = ("n", "edges", "options", "colors")
 
     def __init__(self, n: int, edges) -> None:
         if type(n) is not int:
@@ -57,18 +58,18 @@ class EdgeColoredGraph:
         normalised.sort()
         colors = frozenset(e[2] for e in normalised)
         colour_bit = {c: 1 << r for r, c in enumerate(sorted(colors))}
-        # One pass in sorted order checks each edge for a repeated pair and
-        # against the colour bits already seen at both of its endpoints.
-        by_pair: dict[tuple[int, int], int] = {}
+        # One pass in sorted order checks each edge for a repeated pair (the
+        # copies of a pair are adjacent once sorted) and against the colour
+        # bits already seen at both of its endpoints.
         vertex_bit = [1 << w for w in range(n)]
         options: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         seen = [0] * n
+        prev_u = prev_v = -1
         for idx, edge in enumerate(normalised):
             u, v, color = edge
-            pair = (u, v)
-            if pair in by_pair:
+            if u == prev_u and v == prev_v:
                 raise DuplicateEdge(f"vertex pair ({u}, {v}) appears more than once")
-            by_pair[pair] = color
+            prev_u, prev_v = u, v
             cb = colour_bit[color]
             at_u = seen[u]
             at_v = seen[v]
@@ -82,29 +83,18 @@ class EdgeColoredGraph:
             options[v].append((vertex_bit[u], cb, idx))
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(normalised)
-        self.incidence: tuple[tuple[int, ...], ...] = tuple(
-            tuple([i for _w, _b, i in opts]) for opts in options)
         self.options: tuple[tuple[tuple[int, int, int], ...], ...] = tuple(map(tuple, options))
         self.colors = colors
-        self._color_by_pair = by_pair
 
     def degree(self, v: int) -> int:
-        return len(self.incidence[v])
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(ix) for ix in self.incidence)
-
-    def color_of(self, u: int, v: int) -> int | None:
-        """Colour of the edge joining u and v, or None if absent."""
-        if u > v:
-            u, v = v, u
-        return self._color_by_pair.get((u, v))
+        return len(self.options[v])
 
     def has_edge(self, u: int, v: int, color: int | None = None) -> bool:
-        found = self.color_of(u, v)
-        if found is None:
-            return False
-        return color is None or found == color
+        if type(u) is type(v) is int and 0 <= u < self.n and 0 <= v < self.n:
+            for w, _cb, idx in self.options[u]:
+                if w == 1 << v:
+                    return color is None or self.edges[idx][2] == color
+        return False
 
     def without_vertex(self, v: int) -> "EdgeColoredGraph":
         """Copy with every edge at v removed (vertex ids are preserved)."""
@@ -180,15 +170,11 @@ class Matching:
 
 
 def min_degree(graph: EdgeColoredGraph) -> int:
-    if graph.n == 0:
-        return 0
-    return min(len(ix) for ix in graph.incidence)
+    return min(map(len, graph.options), default=0)
 
 
 def max_degree(graph: EdgeColoredGraph) -> int:
-    if graph.n == 0:
-        return 0
-    return max(len(ix) for ix in graph.incidence)
+    return max(map(len, graph.options), default=0)
 
 
 def color_classes(graph: EdgeColoredGraph) -> dict[int, tuple[Edge, ...]]:

@@ -25,7 +25,7 @@ class LatinSquare:
     __slots__ = ("n", "cells")
 
     def __init__(self, cells) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in cells)
+        rows = tuple(tuple(row) for row in cells)
         n = len(rows)
         if n == 0:
             raise ValueError("square must have at least one row")
@@ -33,6 +33,10 @@ class LatinSquare:
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"row {i} has {len(row)} cells, expected {n}")
+            # ``type(x) is int``, not isinstance: bool is a subclass of int.
+            bad = [x for x in row if type(x) is not int]
+            if bad:
+                raise ValueError(f"cell must be an integer, got {bad[0]!r}")
             if set(row) != full:
                 raise ValueError(f"row {i} is not a permutation of 1..{n}")
         for j in range(n):
@@ -102,9 +106,8 @@ def graph_to_latin(graph: EdgeColoredGraph) -> LatinSquare:
         queue = [start]
         while queue:
             v = queue.pop()
-            for idx in graph.incidence[v]:
-                a, b, _c = graph.edges[idx]
-                w = b if a == v else a
+            for wb, _cb, _idx in graph.options[v]:
+                w = wb.bit_length() - 1
                 if side[w] == -1:
                     side[w] = 1 - side[v]
                     queue.append(w)
@@ -117,18 +120,16 @@ def graph_to_latin(graph: EdgeColoredGraph) -> LatinSquare:
             f"expected K_{{{n},{n}}} with {n * n} edges, got sides "
             f"{len(rows)}/{len(cols)} and {len(graph.edges)} edges"
         )
-    colors = sorted(graph.colors)
-    if len(colors) != n:
-        raise WrongColourCount(f"expected {n} colours, got {len(colors)}")
-    remap = {c: i + 1 for i, c in enumerate(colors)}
+    if len(graph.colors) != n:
+        raise WrongColourCount(f"expected {n} colours, got {len(graph.colors)}")
+    # Both sides have n vertices and there are n * n edges, so every row
+    # meets every column.  A colour's symbol is its rank plus one.
+    col_of = {1 << v: j for j, v in enumerate(cols)}
     cells = []
     for i in rows:
-        row = []
-        for j in cols:
-            c = graph.color_of(i, j)
-            if c is None:
-                raise NotCompleteBipartite(f"missing edge between {i} and {j}")
-            row.append(remap[c])
+        row = [0] * n
+        for wb, cb, _idx in graph.options[i]:
+            row[col_of[wb]] = cb.bit_length()
         cells.append(row)
     return LatinSquare(cells)
 

@@ -119,7 +119,7 @@ def test_node_budget_hit_is_inconclusive_never_ok_or_failure():
 
 def _wrong_witness(graph, k, *args, **kwargs):
     """A solver that reports size k with k edges that all meet vertex 0."""
-    edges = [graph.edges[i] for i in graph.incidence[0][:k]]
+    edges = [graph.edges[i] for _wb, _cb, i in graph.options[0][:k]]
     return SolveResult(Matching(edges), k, True, 1)
 
 

@@ -101,6 +101,11 @@ def test_solve_rejects_improper_colouring(tmp_path, capsys):
     assert main(["solve", str(path)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "5" in err
+    # A repeated vertex pair, listed in either orientation.
+    path.write_text("g 3\ne 0 1 5\ne 1 2 6\ne 1 0 7\n")
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "appears more than once" in err
 
 
 def test_solve_rejects_non_integer_json_values(tmp_path, capsys):

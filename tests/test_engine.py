@@ -93,6 +93,13 @@ def test_exchange_rejects_a_matched_edge_absent_from_the_graph():
     for edge in [(0, 3, 1), (0, 1, 2)]:
         with pytest.raises(UnknownEdge):
             rule_exchange(g, Matching([edge]))
+    # Direct and mono share the exchange's membership check: without it,
+    # each would grow a matching built on an edge the graph lacks.
+    with pytest.raises(UnknownEdge):
+        rule_direct(g, Matching([(0, 3, 1)]))
+    g = build_graph(6, [(0, 1, 1), (2, 3, 1), (0, 4, 2), (3, 5, 7)])
+    with pytest.raises(UnknownEdge):
+        rule_mono(g, Matching([(0, 5, 1)]))
 
 
 def test_exchange_absent_at_optimum_on_k4():

@@ -167,8 +167,12 @@ def test_empty_matching_is_rainbow():
 
 
 def test_unknown_edge_raises():
-    with pytest.raises(UnknownEdge):
-        is_rainbow_matching(c4(), Matching([(0, 2, 9)]))
+    # A chord, endpoints outside 0..n-1 (a negative one must not wrap round
+    # to the last vertex's adjacency), and a vertex that is not an int.
+    for u, v, c in [(0, 2, 9), (-1, 0, 1), (0, 9, 1), (1.0, 2, 2)]:
+        assert not c4().has_edge(u, v, c) and not c4().has_edge(u, v)
+        with pytest.raises(UnknownEdge):
+            is_rainbow_matching(c4(), Matching([(u, v, c)]))
 
 
 def test_matching_properties():

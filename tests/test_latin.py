@@ -44,6 +44,14 @@ def test_rejects_ragged_and_empty():
         LatinSquare(())
 
 
+def test_rejects_cells_that_are_not_exactly_int():
+    for cells, bad in [([[1.5, 2.2], [2.7, 1.1]], "1.5"),
+                       ([[True, 2], [2, True]], "True"),
+                       ([[1, "2"], ["2", 1]], "'2'")]:
+        with pytest.raises(ValueError, match=f"cell must be an integer, got {bad}"):
+            LatinSquare(cells)
+
+
 def test_from_rows_remaps_arbitrary_symbols():
     square = LatinSquare.from_rows([["a", "b"], ["b", "a"]])
     assert square.cells == ((1, 2), (2, 1))
@@ -79,11 +87,14 @@ def test_round_trip_z4():
 
 def test_round_trip_survives_vertex_relabelling():
     # K_{2,2} with rows {0,3} and columns {1,2}: side detection must follow
-    # the bipartition, not the id order.
-    g = build_graph(4, [(0, 1, 1), (0, 2, 2), (1, 3, 2), (2, 3, 1)])
-    square = graph_to_latin(g)
-    assert square.n == 2
-    assert {square.cells[0], square.cells[1]} == {(1, 2), (2, 1)}
+    # the bipartition, not the id order.  Colours outside 1..n decode to
+    # symbols by rank, so colours 4 and 9 read as 1 and 2.
+    for a, b in [(1, 2), (4, 9)]:
+        g = build_graph(4, [(0, 1, a), (0, 2, b), (1, 3, b), (2, 3, a)])
+        square = graph_to_latin(g)
+        assert square.n == 2
+        assert {square.cells[0], square.cells[1]} == {(1, 2), (2, 1)}
+        assert square.cells == ((1, 2), (2, 1))
 
 
 def test_graph_to_latin_rejects_odd_cycle():
