@@ -216,6 +216,10 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     for any violated guarantee."""
     if len(set(config.deltas)) != len(config.deltas):
         raise ValueError(f"repeated minimum degree in {list(config.deltas)}")
+    if config.samples < 1:
+        raise ValueError(f"samples must be at least 1, got {config.samples}")
+    if config.recolorings < 0:
+        raise ValueError(f"recolorings must be at least 0, got {config.recolorings}")
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     result = CampaignResult(config=config, config_hash=config.config_hash())

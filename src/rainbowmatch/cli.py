@@ -185,6 +185,8 @@ def cmd_latin(args) -> int:
     if sum(sources) != 1:
         raise ValueError("choose exactly one of --file, --cyclic, --random")
     if args.random is not None:
+        if args.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {args.samples}")
         zero_odd = 0
         for i in range(args.samples):
             square = random_latin(args.random, args.seed + i)

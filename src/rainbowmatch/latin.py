@@ -135,60 +135,68 @@ def graph_to_latin(graph: EdgeColoredGraph) -> LatinSquare:
 
 
 def count_transversals(square: LatinSquare) -> int:
-    """Exact transversal count by backtracking over the n! column choices.
+    """Exact transversal count by meeting in the middle.
 
     A transversal picks one cell per row and column with all symbols
-    distinct.  Orders above 11 raise :class:`OrderTooLarge`.
+    distinct.  Cell (i, j) with symbol s is the mask
+    ``1 << j | 1 << (n + s - 1)``: one column bit and one symbol bit.  The
+    top ``n // 2`` rows and the remaining rows are swept separately, row
+    by row, keeping the number of partial transversals per used mask;
+    partials with equal masks merge.  A transversal is exactly one top
+    partial joined with one bottom partial on the complementary mask, so
+    the work is about the square root of a row-by-row backtracking tree.
+    Orders above 11 raise :class:`OrderTooLarge`.
     """
     n = square.n
     if n > TRANSVERSAL_ORDER_CAP:
         raise OrderTooLarge(f"order {n} exceeds exact cap {TRANSVERSAL_ORDER_CAP}")
-    cells = square.cells
-    col_free = [True] * n
-    sym_free = [True] * (n + 1)
-    count = 0
+    rows = [[1 << j | 1 << (n + s - 1) for j, s in enumerate(row)]
+            for row in square.cells]
+    top = _partials(rows[:n // 2])
+    bottom = _partials(rows[n // 2:])
+    full = (1 << 2 * n) - 1
+    return sum(k * bottom.get(full ^ used, 0) for used, k in top.items())
 
-    def fill(row: int) -> None:
-        nonlocal count
-        if row == n:
-            count += 1
-            return
-        for col in range(n):
-            if not col_free[col]:
-                continue
-            sym = cells[row][col]
-            if not sym_free[sym]:
-                continue
-            col_free[col] = False
-            sym_free[sym] = False
-            fill(row + 1)
-            sym_free[sym] = True
-            col_free[col] = True
 
-    fill(0)
-    return count
+def _partials(rows) -> dict[int, int]:
+    """Map each used mask to the number of partial transversals of ``rows``."""
+    layer = {0: 1}
+    for row in rows:
+        grown: dict[int, int] = {}
+        for used, k in layer.items():
+            for cell in row:
+                if not used & cell:
+                    key = used | cell
+                    grown[key] = grown.get(key, 0) + k
+        layer = grown
+    return layer
 
 
 def parse_square(text: str) -> LatinSquare:
-    """Parse the text format: first line is n, then n whitespace-split rows."""
-    lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
+    """Parse the text format: a header line with n, then n whitespace-split rows.
+
+    Blank lines and ``#`` comments are skipped; errors name the physical line.
+    """
+    lines = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (line := raw.split("#", 1)[0].strip())]
     if not lines:
         raise ParseError("empty square input")
+    lineno, header = lines[0]
     try:
-        n = int(lines[0])
+        n = int(header)
     except ValueError:
-        raise ParseError(f"expected order on first line, got {lines[0]!r}", 1) from None
+        raise ParseError(f"expected the order as the header, got {header!r}", lineno) from None
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} rows after the header, got {len(lines) - 1}")
     rows = []
-    for i, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != n:
-            raise ParseError(f"expected {n} cells, got {len(parts)}", i)
+            raise ParseError(f"expected {n} cells, got {len(parts)}", lineno)
         try:
             rows.append([int(p) for p in parts])
         except ValueError:
-            raise ParseError("cells must be integers", i) from None
+            raise ParseError("cells must be integers", lineno) from None
     try:
         return LatinSquare(rows)
     except ValueError as exc:

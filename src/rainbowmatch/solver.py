@@ -16,8 +16,8 @@ free vertices can still hold what is needed.
 
 Counting walks the same tree without a colour cut or an incumbent, and
 counts the last edge of each matching in place rather than visiting it.
-On a Latin square's K_{n,n} encoding this is the row-by-row walk of
-``count_transversals``.
+On a Latin square's K_{n,n} encoding it is the independent oracle for
+``count_transversals``, which meets in the middle instead.
 
 Both walks read the graph's per-vertex option table, which
 :class:`~rainbowmatch.graphs.EdgeColoredGraph` fills while it validates,

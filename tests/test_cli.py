@@ -153,6 +153,17 @@ def test_verify_empty_deltas(capsys):
         assert captured.err.startswith("error: empty list")
 
 
+def test_verify_rejects_counts_that_check_nothing(capsys):
+    for flags, message in [(["--samples", "0"], "samples must be at least 1"),
+                           (["--samples", "-1"], "samples must be at least 1"),
+                           (["--samples", "1", "--recolorings", "-1"],
+                            "recolorings must be at least 0")]:
+        assert main(["verify", "--deltas", "2", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
+
 def test_verify_rejects_repeated_delta(tmp_path, capsys):
     assert main(["verify", "--deltas", "2,2", "--samples", "3",
                  "--recolorings", "1", "--out", str(tmp_path)]) == 2
@@ -267,6 +278,14 @@ def test_latin_random_sampling(capsys):
     assert main(["latin", "--random", "3", "--samples", "4",
                  "--crosscheck"]) == 0
     assert "odd_zero_transversal 0" in capsys.readouterr().out
+
+
+def test_latin_random_rejects_samples_below_one(capsys):
+    for samples in ("0", "-3"):
+        assert main(["latin", "--random", "5", "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: samples must be at least 1")
 
 
 def test_latin_requires_exactly_one_source(capsys):

@@ -124,12 +124,35 @@ def test_known_transversal_counts():
 
 
 def test_transversal_count_matches_permutation_oracle():
+    # Every order 1..7 covers both parities of the top/bottom split and the
+    # empty top half at n = 1.
     for n in (1, 2, 3, 4, 5):
         square = cyclic_square(n)
         assert count_transversals(square) == brute_transversals(square)
-    for seed in range(10):
-        square = random_latin(5, seed)
-        assert count_transversals(square) == brute_transversals(square)
+    for n in range(1, 8):
+        for seed in range(6 if n < 7 else 3):
+            square = random_latin(n, seed)
+            assert count_transversals(square) == brute_transversals(square)
+
+
+def _isotope(square, rng):
+    """The square with its rows, columns and symbols each permuted."""
+    n = square.n
+    rows, cols, syms = (rng.sample(range(n), n) for _ in range(3))
+    return LatinSquare([[syms[square.cells[r][c] - 1] + 1 for c in cols] for r in rows])
+
+
+def test_transversal_count_is_invariant_under_isotopy():
+    rng = random.Random(13)
+    for n in range(1, 10):
+        for seed in range(3):
+            square = random_latin(n, seed)
+            count = count_transversals(square)
+            for _ in range(2):
+                other = _isotope(square, rng)
+                assert count_transversals(other) == count
+                if n <= 8:
+                    assert count_rainbow_matchings(latin_to_graph(other), n) == count
 
 
 def test_transversal_count_matches_rainbow_matching_counter():
@@ -169,6 +192,20 @@ def test_parse_and_dump_square():
     square = parse_square(text)
     assert square.cells == cyclic_square(3).cells
     assert parse_square(dumps_square(square)).cells == square.cells
+
+
+def test_parse_square_errors_name_the_physical_line():
+    # Comment headers and blank lines count toward the line number.
+    for text, line, message in [
+            ("# c\n\n3\n1 2 3\n2 3 x\n3 1 2\n", 5, "cells must be integers"),
+            ("# c\n3\n1 2 3\n\n2 3 1 4\n3 1 2\n", 5, "expected 3 cells, got 4"),
+            ("\n\nx\n", 3, "expected the order as the header, got 'x'")]:
+        with pytest.raises(ParseError) as exc:
+            parse_square(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+    text = "# order\n3\n1 2 3\n\n2 3 1  # middle\n\n3 1 2\n"
+    assert parse_square(text) == cyclic_square(3)
 
 
 def test_parse_square_errors():
