@@ -34,7 +34,9 @@ a fixed good-pair count and class size each nice pair strictly lowers the
 order bound, so only tuples without one are evaluated; for a fixed
 good-pair count the bound is linear and then concave-quadratic in the
 class size, so it maximises each piece at a few integer candidates in
-exact arithmetic instead of scanning every class size.
+exact arithmetic instead of scanning every class size; and a relaxation
+that is concave in the good-pair count bounds those maxima, so only the
+counts around its peak are evaluated.
 """
 
 from __future__ import annotations
@@ -403,6 +405,76 @@ def constant_forms_agree() -> bool:
                for d in range(3) for r in range(3) for s in range(3))
 
 
+# Both forms of C are fixed polynomials, so one comparison per process
+# settles the identity for every delta.
+_FORMS_AGREE = constant_forms_agree()
+
+
+def _best_at(delta: int, r: int, a_cap: int) -> tuple[int, int, int] | None:
+    """First maximiser ``(doubled bound, a, 2t)`` over the class sizes at
+    good-pair count r and s = 0, or None when no class size is admissible."""
+    hi = min(a_cap, (4 * delta - 4 - r) // 2)
+    if hi < 2:
+        return None
+    b = 2 * delta - 2 - 2 * r
+    flat_end = (2 * delta - 2 + r) // 2   # last a with t = 0
+    if flat_end >= hi:   # t stays 0 on the whole range
+        candidates = (2 if b == 0 else hi,)
+    else:
+        # Quadratic piece flat_end+1..hi: the floor of the apex and
+        # the integer after it, clipped to the piece.
+        apex = (2 * b + 2 * delta + 2 + r) // 4
+        if apex > flat_end:
+            quad = (apex, apex + 1) if apex < hi else (hi,)
+        else:
+            quad = (flat_end + 1,)
+        if flat_end < 2:
+            candidates = quad
+        else:
+            candidates = (2 if b == 0 else flat_end,) + quad
+    const = const_printed(delta, r)
+    best = None
+    for a in candidates:
+        t2 = 2 * (a - delta + 1) - r
+        if t2 < 0:
+            t2 = 0
+        val = 2 * const + 2 * (a - 1) * b - (a - 2) * t2
+        if best is None or val > best[0]:
+            best = (val, a, t2)
+    return best
+
+
+def _relaxation(delta: int, r: int) -> int:
+    """8 * U(r): eight times the largest doubled bound at good-pair count r
+    and s = 0 over real class sizes a from the activation point of t on."""
+    c = const_printed(delta, r)
+    b = 2 * delta - 2 - 2 * r
+    if 5 * r <= 2 * delta + 2:   # the apex is at or past the activation point
+        k = 2 * delta - 2 + r
+        return 16 * (c - b - k) + (2 * b + k + 4) ** 2
+    return 8 * (2 * c + (2 * delta - 4 + r) * b)
+
+
+def _tuple_count(delta: int, a_cap: int) -> int:
+    """The sum of max(r, 1) * (hi(r) - 1) over r = 0..delta-1."""
+    m = 4 * delta - 4
+    split = min(m - 2 * a_cap, delta - 1)   # hi(r) = a_cap up to here
+    total = (a_cap - 1) * (split * (split + 1) // 2 + 1) if split >= 0 else 0
+    first = max(split + 1, 0)
+    if first < delta:
+        def sums(n):   # of r, of r * r and of the odd r over 0..n, n >= -1
+            return n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6, ((n + 1) // 2) ** 2
+
+        s1, s2, odd = sums(delta - 1)
+        f1, f2, f_odd = sums(first - 1)
+        # 2 * (hi(r) - 1) = m - 2 - r - (r & 1); r = 0 has weight 1, not r.
+        twice = (m - 2) * (s1 - f1) - (s2 - f2) - (odd - f_odd)
+        if first == 0:
+            twice += m - 2
+        total += twice // 2
+    return total
+
+
 def certify_counting_bound(delta: int, a_cap: int | None = None) -> CertResult:
     """Certify that every admissible count tuple keeps the order below the
     rainbow threshold (9*delta - 5) / 2.
@@ -436,18 +508,48 @@ def certify_counting_bound(delta: int, a_cap: int | None = None) -> CertResult:
       quadratic with apex (2B + 2*delta + 2 + p) / 4, so the floor of the
       apex or the integer after it, clipped to the piece, is a maximiser.
 
-    Those candidates are evaluated in increasing a, and r in increasing
-    order, with a strict comparison, so ``worst_tuple`` is the first
-    maximiser of the full (r, s, a) grid.  ``tuples_checked`` counts every
-    admissible tuple the certificate covers, those with s > 0 through the
-    argument above.  Exactly one pair (r, s) has p = 0 and exactly p pairs
-    (r = 1..p) have a given p >= 1, so with G(p) = max(0, hi(p) - 1) it is
-    G(0) + sum of p * G(p) over p = 1..delta-1.  The a-free constant C has
-    two forms, the printed closed form and the one re-derived from the
-    nice-edge count (cap minus the counted lower bound); ``forms_agree``
-    reports that they are the same polynomial (:func:`constant_forms_agree`).
-    Arithmetic is exact: everything is an integer at twice the natural
-    scale.  The work is O(delta).
+    Those candidates are evaluated in increasing a with a strict
+    comparison, so each r yields its first maximiser.
+
+    Only a few r are evaluated.  At s = 0 write K = 2*delta - 2 + r and
+    take the quadratic piece to real r and a:
+    q(r, a) = 2C + 2(a-1)B - (a-2)(2a - K).  Its Hessian is
+    [[-4, -3], [-3, -4]], so q is jointly concave.  Let U(r) be the
+    maximum of q over real a >= K/2, where t starts.  When
+    5r <= 2*delta + 2 the apex lies there and
+    8U = 16C - 16B - 16K + (2B + K + 4)^2; otherwise q falls from K/2 on
+    and U = q(r, K/2) = 2C + (2*delta - 4 + r)*B.  U is at least the
+    doubled bound at every admissible (r, a): from K/2 on the bound is q,
+    and before it the bound is the t = 0 line, of slope 2B >= 0 in a,
+    which meets q at K/2; a_cap only shrinks the domain.  U is the maximum of a
+    jointly concave function over the convex set a >= K/2, so it is
+    concave in r.
+
+    A binary search on the forward difference of U finds its first
+    integer maximiser.  The per-r maximisation runs there, then outward
+    in each direction while U(r) is at least the best value so far.  Past
+    the first r where U drops below it, concavity keeps U below it, and
+    with U above the bound no r left out can reach the maximum or tie it.
+    Among the visited r the largest value with the smallest r wins, so
+    ``worst_tuple`` is the first maximiser of the full (r, s, a) grid.
+    Everything is an integer: the bound at twice the natural scale and U
+    at eight times that.  The search takes O(log delta) steps, and at most
+    three r are evaluated for every delta < 3000 at the default cap, the
+    smallest safe one, 2*delta, 3*delta and 10*delta.
+
+    ``tuples_checked`` counts every admissible tuple the certificate
+    covers, those with s > 0 through the argument above.  Exactly one pair
+    (r, s) has p = 0 and exactly p pairs (r = 1..p) have a given p >= 1,
+    so it is the sum of max(r, 1) * (hi(r) - 1) over r = 0..delta-1.  Up
+    to r = 4*delta - 4 - 2*a_cap, hi(r) = a_cap; past that, with
+    M = 4*delta - 4 even, hi(r) = (M - r - (r & 1)) / 2, so the sum is a
+    closed form in the sums of r, of r^2 and of the odd r over a range.
+
+    The a-free constant C has two forms, the printed closed form and the
+    one re-derived from the nice-edge count (cap minus the counted lower
+    bound); ``forms_agree`` reports that they are the same polynomial
+    (:func:`constant_forms_agree`).  That does not depend on delta and is
+    checked once per process, at import.
 
     Beyond ``a_cap`` (default 6*delta) the bound must be provably
     decreasing in a, else :class:`CapUnsafe` is raised: the cap has to
@@ -467,52 +569,33 @@ def certify_counting_bound(delta: int, a_cap: int | None = None) -> CertResult:
         raise CapUnsafe(
             f"a_cap {a_cap} does not clear the activation/stationary points for delta {delta}")
 
-    best_val: int | None = None
-    best_pos: tuple[int, int, int] | None = None  # (r, a, 2t) at s = 0
-    checked = 0
-    forms_agree = constant_forms_agree()
-    for r in range(delta):
-        const = const_printed(delta, r)
-        # s = 0, so p = r; max(p, 1) pairs (r', s') share this p and hi.
-        hi = min(a_cap, (4 * delta - 4 - r) // 2)
-        if hi < 2:
-            continue
-        checked += max(r, 1) * (hi - 1)
-        b = 2 * delta - 2 - 2 * r
-        flat_end = (2 * delta - 2 + r) // 2   # last a with t = 0
-        if flat_end >= hi:   # t stays 0 on the whole range
-            candidates = (2 if b == 0 else hi,)
+    lo, peak = 0, delta - 1
+    while lo < peak:
+        mid = (lo + peak) // 2
+        if _relaxation(delta, mid + 1) > _relaxation(delta, mid):
+            lo = mid + 1
         else:
-            # Quadratic piece flat_end+1..hi: the floor of the apex and
-            # the integer after it, clipped to the piece.
-            apex = (2 * b + 2 * delta + 2 + r) // 4
-            if apex > flat_end:
-                quad = (apex, apex + 1) if apex < hi else (hi,)
-            else:
-                quad = (flat_end + 1,)
-            if flat_end < 2:
-                candidates = quad
-            else:
-                candidates = (2 if b == 0 else flat_end,) + quad
-        for a in candidates:
-            t2 = 2 * (a - delta + 1) - r
-            if t2 < 0:
-                t2 = 0
-            val = 2 * const + 2 * (a - 1) * b - (a - 2) * t2
-            if best_val is None or val > best_val:
-                best_val = val
-                best_pos = (r, a, t2)
-    assert best_val is not None and best_pos is not None
+            peak = mid
+    best = None   # (doubled bound, -r, a, 2t): the largest, then the first r
+    for step, r in ((1, peak), (-1, peak - 1)):
+        while 0 <= r < delta and (best is None or _relaxation(delta, r) >= 8 * best[0]):
+            found = _best_at(delta, r, a_cap)
+            if found is not None:
+                val, a, t2 = found
+                if best is None or (val, -r) > best[:2]:
+                    best = (val, -r, a, t2)
+            r += step
+    assert best is not None
+    best_val, neg_r, a, t2 = best
     worst_n = Fraction(best_val, 2 * delta)
     threshold = Fraction(9 * delta - 5, 2)
-    r, a, t2 = best_pos
     return CertResult(
         delta=delta,
-        holds=best_val < delta * (9 * delta - 5) and forms_agree,
-        worst_tuple=(r, 0, a, Fraction(t2, 2)),
+        holds=best_val < delta * (9 * delta - 5) and _FORMS_AGREE,
+        worst_tuple=(-neg_r, 0, a, Fraction(t2, 2)),
         worst_n=worst_n,
         margin=threshold - worst_n,
-        forms_agree=forms_agree,
-        tuples_checked=checked,
+        forms_agree=_FORMS_AGREE,
+        tuples_checked=_tuple_count(delta, a_cap),
         a_cap=a_cap,
     )

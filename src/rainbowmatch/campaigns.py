@@ -276,6 +276,8 @@ def run_scan(delta: int, n_values, samples: int, master_seed: int,
              extra_edge_prob: float = 0.0) -> list[ScanRow]:
     """Failure rate of "rainbow matching of size the minimum degree" per
     order; the interesting range sits between 2*delta and the proven bound."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rows = []
     for n in n_values:
         failures = 0
@@ -289,8 +291,8 @@ def run_scan(delta: int, n_values, samples: int, master_seed: int,
             verdict = _verdict(res.size, res.optimal, delta)
             failures += verdict is False
             inconclusive += verdict is None
-        rate = (failures / samples) if samples else 0.0
-        rows.append(ScanRow(delta, n, samples, failures, inconclusive, rate))
+        rows.append(ScanRow(delta, n, samples, failures, inconclusive,
+                            failures / samples))
     return rows
 
 

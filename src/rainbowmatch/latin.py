@@ -20,7 +20,10 @@ TRANSVERSAL_ORDER_CAP = 11
 
 
 class LatinSquare:
-    """Order-n square over symbols 1..n, each row and column a permutation."""
+    """Order-n square over symbols 1..n, each row and column a permutation.
+
+    Errors number rows and columns from 1.
+    """
 
     __slots__ = ("n", "cells")
 
@@ -30,7 +33,7 @@ class LatinSquare:
         if n == 0:
             raise ValueError("square must have at least one row")
         full = set(range(1, n + 1))
-        for i, row in enumerate(rows):
+        for i, row in enumerate(rows, start=1):
             if len(row) != n:
                 raise ValueError(f"row {i} has {len(row)} cells, expected {n}")
             # ``type(x) is int``, not isinstance: bool is a subclass of int.
@@ -41,7 +44,7 @@ class LatinSquare:
                 raise ValueError(f"row {i} is not a permutation of 1..{n}")
         for j in range(n):
             if {row[j] for row in rows} != full:
-                raise ValueError(f"column {j} is not a permutation of 1..{n}")
+                raise ValueError(f"column {j + 1} is not a permutation of 1..{n}")
         self.n = n
         self.cells = rows
 
@@ -175,7 +178,9 @@ def _partials(rows) -> dict[int, int]:
 def parse_square(text: str) -> LatinSquare:
     """Parse the text format: a header line with n, then n whitespace-split rows.
 
-    Blank lines and ``#`` comments are skipped; errors name the physical line.
+    Blank lines and ``#`` comments are skipped.  Errors name the physical
+    line, except a bad column, which spans lines and is named by its
+    number from 1.
     """
     lines = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
              if (line := raw.split("#", 1)[0].strip())]
@@ -189,14 +194,18 @@ def parse_square(text: str) -> LatinSquare:
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} rows after the header, got {len(lines) - 1}")
     rows = []
+    full = set(range(1, n + 1))
     for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != n:
             raise ParseError(f"expected {n} cells, got {len(parts)}", lineno)
         try:
-            rows.append([int(p) for p in parts])
+            row = [int(p) for p in parts]
         except ValueError:
             raise ParseError("cells must be integers", lineno) from None
+        if set(row) != full:
+            raise ParseError(f"row is not a permutation of 1..{n}", lineno)
+        rows.append(row)
     try:
         return LatinSquare(rows)
     except ValueError as exc:

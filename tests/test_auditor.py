@@ -30,7 +30,14 @@ from rainbowmatch import (
     to_json,
 )
 
-from rainbowmatch.auditor import const_counts, const_printed, constant_forms_agree
+from rainbowmatch.auditor import (
+    _best_at,
+    _relaxation,
+    _tuple_count,
+    const_counts,
+    const_printed,
+    constant_forms_agree,
+)
 
 from conftest import k33_cyclic, k4_one_factorization, pendant_star, random_instance
 
@@ -562,6 +569,126 @@ def test_certify_matches_the_pair_sweep():
         for a_cap in (None, safe, safe + 1, 2 * delta, 10 * delta):
             assert certify_counting_bound(delta, a_cap) == \
                 oracle_sweep(delta, a_cap), f"delta={delta} a_cap={a_cap}"
+
+
+def oracle_r_sweep(delta, a_cap=None):
+    """The O(delta) certificate that maximised over the class sizes at
+    every good-pair count, kept verbatim as an oracle for the search
+    around the relaxation's peak."""
+    if delta < 2:
+        raise ValueError("delta must be at least 2")
+    if a_cap is None:
+        a_cap = 6 * delta
+    if a_cap < 2:
+        raise ValueError("a_cap must be at least 2")
+    # Tail certificate.  t activates at a = delta - 1 + (r+s)/2, worst case
+    # r + s = delta - 1; the quadratic's stationary point is
+    # (3*delta - 1)/2 - (3r + s)/4, worst case r = s = 0.
+    if 2 * a_cap < 3 * (delta - 1) or 4 * a_cap < 2 * (3 * delta - 1):
+        raise CapUnsafe(
+            f"a_cap {a_cap} does not clear the activation/stationary points for delta {delta}")
+
+    best_val: int | None = None
+    best_pos: tuple[int, int, int] | None = None  # (r, a, 2t) at s = 0
+    checked = 0
+    forms_agree = constant_forms_agree()
+    for r in range(delta):
+        const = const_printed(delta, r)
+        # s = 0, so p = r; max(p, 1) pairs (r', s') share this p and hi.
+        hi = min(a_cap, (4 * delta - 4 - r) // 2)
+        if hi < 2:
+            continue
+        checked += max(r, 1) * (hi - 1)
+        b = 2 * delta - 2 - 2 * r
+        flat_end = (2 * delta - 2 + r) // 2   # last a with t = 0
+        if flat_end >= hi:   # t stays 0 on the whole range
+            candidates = (2 if b == 0 else hi,)
+        else:
+            # Quadratic piece flat_end+1..hi: the floor of the apex and
+            # the integer after it, clipped to the piece.
+            apex = (2 * b + 2 * delta + 2 + r) // 4
+            if apex > flat_end:
+                quad = (apex, apex + 1) if apex < hi else (hi,)
+            else:
+                quad = (flat_end + 1,)
+            if flat_end < 2:
+                candidates = quad
+            else:
+                candidates = (2 if b == 0 else flat_end,) + quad
+        for a in candidates:
+            t2 = 2 * (a - delta + 1) - r
+            if t2 < 0:
+                t2 = 0
+            val = 2 * const + 2 * (a - 1) * b - (a - 2) * t2
+            if best_val is None or val > best_val:
+                best_val = val
+                best_pos = (r, a, t2)
+    assert best_val is not None and best_pos is not None
+    worst_n = Fraction(best_val, 2 * delta)
+    threshold = Fraction(9 * delta - 5, 2)
+    r, a, t2 = best_pos
+    return CertResult(
+        delta=delta,
+        holds=best_val < delta * (9 * delta - 5) and forms_agree,
+        worst_tuple=(r, 0, a, Fraction(t2, 2)),
+        worst_n=worst_n,
+        margin=threshold - worst_n,
+        forms_agree=forms_agree,
+        tuples_checked=checked,
+        a_cap=a_cap,
+    )
+
+
+def r_sweep_caps(delta):
+    """The default cap, the smallest safe cap, 2*delta and 10*delta."""
+    return (6 * delta, 3 * delta // 2, 2 * delta, 10 * delta)
+
+
+def test_smallest_safe_cap_is_three_halves_delta():
+    for delta in range(2, 40):
+        assert smallest_safe_cap(delta)[0] == r_sweep_caps(delta)[1]
+
+
+def test_certify_matches_the_r_sweep():
+    # Every field, so the search around the relaxation's peak finds the
+    # same first maximiser and the closed form the same tuple count.
+    for delta in range(2, 601):
+        for a_cap in r_sweep_caps(delta):
+            assert certify_counting_bound(delta, a_cap) == \
+                oracle_r_sweep(delta, a_cap), f"delta={delta} a_cap={a_cap}"
+    for delta in (10**4, 10**5):
+        assert certify_counting_bound(delta) == oracle_r_sweep(delta), \
+            f"delta={delta}"
+
+
+def test_relaxation_is_a_concave_upper_bound():
+    # 8 * U(r) is at least eight times the exact per-r maximum, its second
+    # differences are not positive, and the closed-form tuple count is the
+    # per-r sum.
+    for delta in range(2, 301):
+        relaxed = [_relaxation(delta, r) for r in range(delta)]
+        for r in range(1, delta - 1):
+            assert relaxed[r - 1] - 2 * relaxed[r] + relaxed[r + 1] <= 0, \
+                f"delta={delta} r={r}"
+        for a_cap in r_sweep_caps(delta):
+            count = 0
+            for r in range(delta):
+                count += max(r, 1) * max(0, min(a_cap, (4 * delta - 4 - r) // 2) - 1)
+                found = _best_at(delta, r, a_cap)
+                assert found is None or relaxed[r] >= 8 * found[0], \
+                    f"delta={delta} a_cap={a_cap} r={r}"
+            assert _tuple_count(delta, a_cap) == count, f"delta={delta} a_cap={a_cap}"
+
+
+def test_relaxation_bounds_every_class_size():
+    # The same bound against the dense grid, with no per-r shortcut.
+    for delta in range(2, 31):
+        for r in range(delta):
+            relaxed = _relaxation(delta, r)
+            for a in range(2, 6 * delta + 1):
+                value = doubled_bound(delta, r, 0, a)
+                assert value is None or relaxed >= 8 * value, \
+                    f"delta={delta} r={r} a={a}"
 
 
 def doubled_bound(delta, r, s, a):

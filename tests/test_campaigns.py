@@ -203,9 +203,11 @@ def test_scan_rows_and_bound_row_never_fails():
     assert rows[-1].failures == 0          # n = 7 meets the proven bound
 
 
-def test_scan_handles_zero_samples():
-    rows = run_scan(2, [5], samples=0, master_seed=0)
-    assert rows[0].failure_rate == 0.0 and rows[0].failures == 0
+@pytest.mark.parametrize("samples", [0, -2])
+def test_scan_rejects_fewer_than_one_sample(samples):
+    # An empty scan row would read as a failure rate of 0.
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        run_scan(2, [5], samples=samples, master_seed=0)
 
 
 def test_scan_serialisations_round_trip():

@@ -205,6 +205,15 @@ def test_scan_rejects_reversed_range(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_scan_rejects_fewer_than_one_sample(samples, capsys):
+    assert main(["scan", "--delta", "3", "--n-min", "7", "--n-max", "8",
+                 "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: samples must be at least 1, got {samples}\n"
+
+
 # ------------------------------------------------------------------ certify
 
 CERTIFY_DELTA_2_LINE = ("delta=2 holds worst_n=6 threshold=13/2 margin=1/2 "

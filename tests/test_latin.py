@@ -199,11 +199,17 @@ def test_parse_square_errors_name_the_physical_line():
     for text, line, message in [
             ("# c\n\n3\n1 2 3\n2 3 x\n3 1 2\n", 5, "cells must be integers"),
             ("# c\n3\n1 2 3\n\n2 3 1 4\n3 1 2\n", 5, "expected 3 cells, got 4"),
-            ("\n\nx\n", 3, "expected the order as the header, got 'x'")]:
+            ("\n\nx\n", 3, "expected the order as the header, got 'x'"),
+            ("# h\n2\n1 1\n2 2\n", 3, "row is not a permutation of 1..2")]:
         with pytest.raises(ParseError) as exc:
             parse_square(text)
         assert exc.value.line == line
         assert str(exc.value) == f"line {line}: {message}"
+    # A column spans lines, so it is named by its number from 1.
+    with pytest.raises(ParseError) as exc:
+        parse_square("3\n1 2 3\n2 3 1\n3 2 1\n")
+    assert exc.value.line is None
+    assert str(exc.value) == "column 2 is not a permutation of 1..3"
     text = "# order\n3\n1 2 3\n\n2 3 1  # middle\n\n3 1 2\n"
     assert parse_square(text) == cyclic_square(3)
 
