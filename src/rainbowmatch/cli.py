@@ -9,6 +9,7 @@ affect the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -256,7 +257,15 @@ def cmd_audit(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Every call returns the same instance, which every :func:`main` call in
+    the process shares.  Parsing only reads it and fills a fresh namespace,
+    and no default is mutable, so calls stay apart; callers must not
+    mutate the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="rainbowmatch",
         description="Rainbow matchings in properly edge-coloured graphs: "

@@ -222,8 +222,12 @@ def run_engine(graph: EdgeColoredGraph, target: int,
     exactly +1).  ``node_budget`` caps the run's exchange core nodes
     (``nodes_explored``) and vertex reduce's decide call; hitting
     it adds a note to the trace and is never raised.  The result is a
-    heuristic: ``optimal`` is always False.
+    heuristic: ``optimal`` is always False.  A negative
+    ``max_exchange_depth`` raises ``ValueError``; 0 runs no exchange.
     """
+    if max_exchange_depth < 0:
+        raise ValueError(
+            f"exchange depth must be at least 0, got {max_exchange_depth}")
     if target <= 0:
         return SolveResult(Matching(), 0, False, 0,
                            (RuleStep(RULE_SEED, (), ()),))

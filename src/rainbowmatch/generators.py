@@ -35,10 +35,14 @@ def random_graph_min_degree(n: int, delta: int, seed: int,
     Each vertex proposes ``delta`` distinct neighbours; vertices still
     deficient afterwards are repaired by joining them to their
     lowest-degree non-neighbours.  Each remaining pair is then added
-    independently with probability ``extra_edge_prob``.  ``delta >= n``
+    independently with probability ``extra_edge_prob``, which must lie in
+    [0, 1] (``ValueError`` otherwise, NaN included).  ``delta >= n``
     raises :class:`InfeasibleDegree`; n == delta + 1 forces the complete
     graph.
     """
+    if not 0.0 <= extra_edge_prob <= 1.0:
+        raise ValueError(
+            f"extra edge probability must lie in [0, 1], got {extra_edge_prob}")
     if delta < 0:
         raise ValueError("minimum degree must be non-negative")
     if delta >= n:

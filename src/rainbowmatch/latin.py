@@ -191,6 +191,8 @@ def parse_square(text: str) -> LatinSquare:
         n = int(header)
     except ValueError:
         raise ParseError(f"expected the order as the header, got {header!r}", lineno) from None
+    if n < 1:
+        raise ParseError(f"order must be at least 1, got {n}", lineno)
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} rows after the header, got {len(lines) - 1}")
     rows = []

@@ -76,6 +76,16 @@ class _Run:
     budget_hit: bool
 
 
+def _node_limit(node_budget: int | None):
+    """A walk's node cap: none for ``None``; a negative budget raises
+    ``ValueError``, and 0 visits no node."""
+    if node_budget is None:
+        return math.inf
+    if node_budget < 0:
+        raise ValueError(f"node budget must be at least 0, got {node_budget}")
+    return node_budget
+
+
 def _search(graph: EdgeColoredGraph, target: int | None,
             node_budget: int | None, used_v: int = 0, used_c: int = 0) -> _Run:
     """Vertex-branching branch and bound over the graph's option table.
@@ -86,10 +96,10 @@ def _search(graph: EdgeColoredGraph, target: int | None,
     edges added to them.
     The search stops before it would visit node ``node_budget + 1``.
     """
+    limit = _node_limit(node_budget)
     options = graph.options
     everyone = (1 << graph.n) - 1
     colours = (1 << len(graph.colors)) - 1
-    limit = math.inf if node_budget is None else node_budget
     maximise = target is None
     need = 1 if maximise else target
     nodes = best_size = 0
@@ -197,15 +207,15 @@ def count_rainbow_matchings(graph: EdgeColoredGraph, size: int,
     still hold the edges still needed.  The last edge is counted in place
     rather than visited.  Used as the graph-side cross-check for transversal
     counting.  Raises :class:`BudgetExceeded` before visiting node
-    ``node_budget + 1``.
+    ``node_budget + 1``; a negative budget raises ``ValueError``.
     """
+    limit = _node_limit(node_budget)
     if size < 0:
         return 0
     if size == 0:
         return 1
     options = graph.options
     everyone = (1 << graph.n) - 1
-    limit = math.inf if node_budget is None else node_budget
     nodes = count = 0
     # A node is (edges still needed, used-or-skipped vertices, used colours).
     stack = [(size, 0, 0)]

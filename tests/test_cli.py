@@ -19,7 +19,7 @@ from rainbowmatch import (
     parse_graph,
     random_graph_min_degree,
 )
-from rainbowmatch.cli import main
+from rainbowmatch.cli import build_parser, main
 from rainbowmatch.latin import cyclic_square
 
 from conftest import c4, k4_one_factorization, k33_cyclic, pendant_star
@@ -85,6 +85,19 @@ def test_solve_budget_stops_the_engine(pend_file, capsys):
     assert "engine 1 of target 2" in lines
     assert json.loads(lines[-1]) == {"rule": "R-exchange-1", "removed": [],
                                      "added": [], "note": "node budget hit"}
+
+
+def test_solve_rejects_negative_budget_and_depth(k4_file, capsys):
+    # A negative budget must not pass for "node budget exceeded"; 0 does.
+    for flags, message in [(["--budget", "-3"], "node budget must be at least 0"),
+                           (["--engine", "--depth", "-1"],
+                            "exchange depth must be at least 0")]:
+        assert main(["solve", k4_file, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+    assert main(["solve", k4_file, "--budget", "0"]) == 0
+    assert "best_found 0 (node budget exceeded)" in capsys.readouterr().out
 
 
 def test_solve_reports_parse_error_with_line(tmp_path, capsys):
@@ -153,15 +166,28 @@ def test_verify_empty_deltas(capsys):
         assert captured.err.startswith("error: empty list")
 
 
-def test_verify_rejects_counts_that_check_nothing(capsys):
-    for flags, message in [(["--samples", "0"], "samples must be at least 1"),
-                           (["--samples", "-1"], "samples must be at least 1"),
-                           (["--samples", "1", "--recolorings", "-1"],
-                            "recolorings must be at least 0")]:
-        assert main(["verify", "--deltas", "2", *flags]) == 2
+def test_verify_rejects_counts_that_check_nothing(tmp_path, capsys):
+    # A probability outside [0, 1] would run as 0 or 1 under its own config
+    # hash, a negative budget would leave every instance inconclusive, and a
+    # negative depth would run no exchange.
+    for flags, message in [
+            (["--samples", "0"], "samples must be at least 1"),
+            (["--samples", "-1"], "samples must be at least 1"),
+            (["--samples", "1", "--recolorings", "-1"],
+             "recolorings must be at least 0"),
+            (["--prob", "-0.5"],
+             "extra edge probability must lie in [0, 1], got -0.5"),
+            (["--prob", "nan"], "extra edge probability must lie in [0, 1], got nan"),
+            (["--prob", "1.5"], "extra edge probability must lie in [0, 1], got 1.5"),
+            (["--budget", "-1"], "node budget must be at least 0, got -1"),
+            (["--depth", "-2"], "exchange depth must be at least 0, got -2")]:
+        assert main(["verify", "--deltas", "2", "--samples", "2",
+                     "--recolorings", "0", "--seed", "1",
+                     "--out", str(tmp_path), *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
+        assert not any(tmp_path.iterdir())
 
 
 def test_verify_rejects_repeated_delta(tmp_path, capsys):
@@ -205,13 +231,28 @@ def test_scan_rejects_reversed_range(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("samples", ["0", "-2"])
-def test_scan_rejects_fewer_than_one_sample(samples, capsys):
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--samples", "0"], "samples must be at least 1, got 0", id="0"),
+    pytest.param(["--samples", "-2"], "samples must be at least 1, got -2",
+                 id="-2"),
+    # A probability outside [0, 1] would run as 0 or 1.
+    pytest.param(["--prob", "-0.5"],
+                 "extra edge probability must lie in [0, 1], got -0.5",
+                 id="prob=-0.5"),
+    pytest.param(["--prob", "nan"],
+                 "extra edge probability must lie in [0, 1], got nan",
+                 id="prob=nan"),
+    pytest.param(["--prob", "7"],
+                 "extra edge probability must lie in [0, 1], got 7.0",
+                 id="prob=7")])
+def test_scan_rejects_fewer_than_one_sample(flags, message, tmp_path, capsys):
+    out = tmp_path / "scan.csv"
     assert main(["scan", "--delta", "3", "--n-min", "7", "--n-max", "8",
-                 "--samples", samples]) == 2
+                 "--out", str(out), *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: samples must be at least 1, got {samples}\n"
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------ certify
@@ -229,18 +270,22 @@ def test_certify_range(capsys):
     assert lines[0] == CERTIFY_DELTA_2_LINE
 
 
-def test_certify_runs_without_numpy():
-    # numpy = None in sys.modules makes every "import numpy" raise.
-    script = ("import sys\n"
-              "sys.modules['numpy'] = None\n"
-              "import rainbowmatch, rainbowmatch.cli\n"
-              "sys.exit(rainbowmatch.cli.main(['certify', '2..5']))\n")
+def _fresh_interpreter(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter that imports this package."""
     env = dict(os.environ)
     src = str(Path(rainbowmatch.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    return subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_certify_runs_without_numpy():
+    # numpy = None in sys.modules makes every "import numpy" raise.
+    proc = _fresh_interpreter("import sys\n"
+                              "sys.modules['numpy'] = None\n"
+                              "import rainbowmatch, rainbowmatch.cli\n"
+                              "sys.exit(rainbowmatch.cli.main(['certify', '2..5']))\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == CERTIFY_DELTA_2_LINE
 
@@ -388,6 +433,46 @@ def test_no_command_prints_usage(capsys):
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert "solve" in capsys.readouterr().out
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_keeps_calls_apart(tmp_path, capsys):
+    # Non-default flags in one call must not become the next call's
+    # defaults: the plain call writes what a fresh interpreter writes.
+    plain = ["verify", "--deltas", "2,3", "--samples", "2",
+             "--recolorings", "1", "--seed", "4"]
+    assert main(plain + ["--format", "json", "--depth", "1",
+                         "--n-rule", "bound+1",
+                         "--out", str(tmp_path / "flags")]) == 0
+    flagged = capsys.readouterr().out
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    assert main(plain + ["--out", str(here)]) == 0
+    out = capsys.readouterr().out
+    proc = _fresh_interpreter(
+        "import sys, rainbowmatch.cli\n"
+        f"sys.exit(rainbowmatch.cli.main({plain + ['--out', str(fresh)]!r}))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert out.startswith("config ") and out == proc.stdout
+    assert flagged.splitlines()[0] != out.splitlines()[0]
+    names = sorted(p.name for p in here.iterdir())
+    assert names == ["cells.csv", "instances.csv"]
+    assert names == sorted(p.name for p in fresh.iterdir())
+    for name in names:
+        assert (here / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_usage_error_and_help_leave_the_next_call_alone(capsys):
+    argv = ["verify", "--deltas", "2", "--samples", "2", "--recolorings", "1"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(["verify", "--samples", "x"]) == 1
+    assert main(["--help"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
 
 
 # ------------------------------------------------------------------- pins

@@ -211,6 +211,11 @@ def test_vertex_reduce_fires_inside_an_engine_run():
     assert replay_trace(res.trace) == res.best
 
 
+def test_negative_exchange_depth_raises():
+    with pytest.raises(ValueError, match="exchange depth must be at least 0, got -1"):
+        run_engine(k4_one_factorization(), 2, max_exchange_depth=-1)
+
+
 def test_vertex_reduce_inapplicable_below_degree_cap():
     g = c4((1, 2, 3, 2))  # max degree 2 <= 3*(2-1)
     assert rule_vertex_reduce(g, 2) is None

@@ -67,6 +67,9 @@ def test_infeasible_degree_rejected():
         random_graph_min_degree(3, 9, 0)
     with pytest.raises(ValueError):
         random_graph_min_degree(4, -1, 0)
+    for prob in (-0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            random_graph_min_degree(6, 1, 0, extra_edge_prob=prob)
 
 
 @settings(max_examples=50, deadline=None)

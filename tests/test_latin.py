@@ -200,7 +200,9 @@ def test_parse_square_errors_name_the_physical_line():
             ("# c\n\n3\n1 2 3\n2 3 x\n3 1 2\n", 5, "cells must be integers"),
             ("# c\n3\n1 2 3\n\n2 3 1 4\n3 1 2\n", 5, "expected 3 cells, got 4"),
             ("\n\nx\n", 3, "expected the order as the header, got 'x'"),
-            ("# h\n2\n1 1\n2 2\n", 3, "row is not a permutation of 1..2")]:
+            ("# h\n2\n1 1\n2 2\n", 3, "row is not a permutation of 1..2"),
+            ("-1\n", 1, "order must be at least 1, got -1"),
+            ("0\n", 1, "order must be at least 1, got 0")]:
         with pytest.raises(ParseError) as exc:
             parse_square(text)
         assert exc.value.line == line

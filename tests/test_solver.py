@@ -118,6 +118,20 @@ def test_budgeted_max_ends_with_a_budget_event():
     assert max_rainbow_matching(g, node_budget=20).optimal
 
 
+def test_negative_budget_raises_and_zero_is_legal():
+    g = k33_cyclic()
+    for walk in (lambda b: max_rainbow_matching(g, node_budget=b),
+                 lambda b: solve_decision(g, 3, b),
+                 lambda b: count_rainbow_matchings(g, 3, node_budget=b),
+                 lambda b: count_rainbow_matchings(g, 0, node_budget=b)):
+        with pytest.raises(ValueError, match="node budget must be at least 0, got -3"):
+            walk(-3)
+    assert max_rainbow_matching(g, node_budget=0).nodes_explored == 0
+    assert count_rainbow_matchings(g, 0, node_budget=0) == 1
+    with pytest.raises(BudgetExceeded):
+        count_rainbow_matchings(g, 3, node_budget=0)
+
+
 def test_budgeted_count_raises():
     g = cyclic_knn(6)
     with pytest.raises(BudgetExceeded):
