@@ -354,7 +354,8 @@ def applicable_rules(graph: EdgeColoredGraph, matching: Matching,
 
     Vertex reduce aims at ``target``, by default one past the matching's
     size, as the engine does.  ``node_budget`` bounds the exchange and vertex
-    reduce's decide call; hitting it raises :class:`BudgetExceeded`.
+    reduce's decide call; hitting it raises :class:`BudgetExceeded`.  A
+    negative ``max_exchange_depth`` raises ``ValueError``.
     """
     names = []
     if rule_direct(graph, matching) is not None:
@@ -455,6 +456,11 @@ def _relaxation(delta: int, r: int) -> int:
     return 8 * (2 * c + (2 * delta - 4 + r) * b)
 
 
+def _sums(n: int) -> tuple[int, int, int]:
+    """The sums of r, of r * r and of the odd r over r = 0..n, for n >= -1."""
+    return n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6, ((n + 1) // 2) ** 2
+
+
 def _tuple_count(delta: int, a_cap: int) -> int:
     """The sum of max(r, 1) * (hi(r) - 1) over r = 0..delta-1."""
     m = 4 * delta - 4
@@ -462,11 +468,8 @@ def _tuple_count(delta: int, a_cap: int) -> int:
     total = (a_cap - 1) * (split * (split + 1) // 2 + 1) if split >= 0 else 0
     first = max(split + 1, 0)
     if first < delta:
-        def sums(n):   # of r, of r * r and of the odd r over 0..n, n >= -1
-            return n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6, ((n + 1) // 2) ** 2
-
-        s1, s2, odd = sums(delta - 1)
-        f1, f2, f_odd = sums(first - 1)
+        s1, s2, odd = _sums(delta - 1)
+        f1, f2, f_odd = _sums(first - 1)
         # 2 * (hi(r) - 1) = m - 2 - r - (r & 1); r = 0 has weight 1, not r.
         twice = (m - 2) * (s1 - f1) - (s2 - f2) - (odd - f_odd)
         if first == 0:
@@ -525,17 +528,28 @@ def certify_counting_bound(delta: int, a_cap: int | None = None) -> CertResult:
     jointly concave function over the convex set a >= K/2, so it is
     concave in r.
 
-    A binary search on the forward difference of U finds its first
-    integer maximiser.  The per-r maximisation runs there, then outward
-    in each direction while U(r) is at least the best value so far.  Past
-    the first r where U drops below it, concavity keeps U below it, and
-    with U above the bound no r left out can reach the maximum or tie it.
-    Among the visited r the largest value with the smallest r wins, so
-    ``worst_tuple`` is the first maximiser of the full (r, s, a) grid.
-    Everything is an integer: the bound at twice the natural scale and U
-    at eight times that.  The search takes O(log delta) steps, and at most
-    three r are evaluated for every delta < 3000 at the default cap, the
-    smallest safe one, 2*delta, 3*delta and 10*delta.
+    On each side of the split 5r = 2*delta + 2, 8U is a quadratic in r:
+    up to it A(r) = -7r^2 + (12*delta - 132)r + 68*delta^2 - 24*delta - 28,
+    with apex (6*delta - 66)/7, and past it
+    B(r) = -32r^2 + (32*delta - 112)r + 64*delta^2 - 32*delta - 32, with
+    apex (2*delta - 7)/4.  A's apex lies on A's piece exactly when
+    delta <= 21, and B's on B's piece exactly when delta >= 22, so that
+    apex is U's peak.  The per-r maximisation runs at its floor, clipped
+    to 0..delta-1, then outward in each direction while U(r) is at least
+    the best value so far.
+
+    Any start gives the same answer.  U is concave, so every set
+    {r : U(r) >= c} is an interval.  Let r* be the first maximiser of the
+    full grid, with value M, and let v be the best value so far, found at
+    r'.  Both U(r*) >= M >= v and U(r') >= v, so U >= v on every r between
+    r' and r*, and the walk, which stops only where U drops below v,
+    reaches r* from either side.  Among the visited r the largest value
+    with the smallest r wins, so ``worst_tuple`` is the first maximiser of
+    the full (r, s, a) grid.  Everything is an integer: the bound at twice
+    the natural scale and U at eight times that.  From the apex, at most
+    three U and two per-r maxima are evaluated for every delta <= 3000 at
+    the default cap, the smallest safe one, 2*delta and 10*delta, and at
+    delta = 10^4 and 10^5.
 
     ``tuples_checked`` counts every admissible tuple the certificate
     covers, those with s > 0 through the argument above.  Exactly one pair
@@ -569,15 +583,16 @@ def certify_counting_bound(delta: int, a_cap: int | None = None) -> CertResult:
         raise CapUnsafe(
             f"a_cap {a_cap} does not clear the activation/stationary points for delta {delta}")
 
-    lo, peak = 0, delta - 1
-    while lo < peak:
-        mid = (lo + peak) // 2
-        if _relaxation(delta, mid + 1) > _relaxation(delta, mid):
-            lo = mid + 1
-        else:
-            peak = mid
+    # U's peak: A's apex up to delta = 21, B's apex from 22 on.
+    apex = (6 * delta - 66) // 7 if delta <= 21 else (2 * delta - 7) // 4
+    return _certify_from(delta, a_cap, min(max(apex, 0), delta - 1))
+
+
+def _certify_from(delta: int, a_cap: int, start: int) -> CertResult:
+    """The certificate of :func:`certify_counting_bound`, with the walk
+    over good-pair counts started at ``start`` in 0..delta-1."""
     best = None   # (doubled bound, -r, a, 2t): the largest, then the first r
-    for step, r in ((1, peak), (-1, peak - 1)):
+    for step, r in ((1, start), (-1, start - 1)):
         while 0 <= r < delta and (best is None or _relaxation(delta, r) >= 8 * best[0]):
             found = _best_at(delta, r, a_cap)
             if found is not None:
@@ -587,14 +602,12 @@ def certify_counting_bound(delta: int, a_cap: int | None = None) -> CertResult:
             r += step
     assert best is not None
     best_val, neg_r, a, t2 = best
-    worst_n = Fraction(best_val, 2 * delta)
-    threshold = Fraction(9 * delta - 5, 2)
     return CertResult(
         delta=delta,
         holds=best_val < delta * (9 * delta - 5) and _FORMS_AGREE,
         worst_tuple=(-neg_r, 0, a, Fraction(t2, 2)),
-        worst_n=worst_n,
-        margin=threshold - worst_n,
+        worst_n=Fraction(best_val, 2 * delta),
+        margin=Fraction(delta * (9 * delta - 5) - best_val, 2 * delta),
         forms_agree=_FORMS_AGREE,
         tuples_checked=_tuple_count(delta, a_cap),
         a_cap=a_cap,

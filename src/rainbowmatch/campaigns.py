@@ -206,6 +206,7 @@ def _evaluate_instance(graph, delta, config, rec_common, out_dir, result):
         if out_dir is not None:
             name = (f"witness-{kind}-{result.config_hash}-d{delta}-n{graph.n}"
                     f"-g{record.graph_index}-c{record.recoloring_index}.txt")
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
             path = Path(out_dir) / name
             path.write_text(dumps_graph(graph), encoding="utf-8")
             result.witness_files.append(str(path))
@@ -213,15 +214,13 @@ def _evaluate_instance(graph, delta, config, rec_common, out_dir, result):
 
 def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> CampaignResult:
     """Run the full sweep.  ``out_dir`` (optional) receives witness dumps
-    for any violated guarantee."""
+    for any violated guarantee; it is created with the first one."""
     if len(set(config.deltas)) != len(config.deltas):
         raise ValueError(f"repeated minimum degree in {list(config.deltas)}")
     if config.samples < 1:
         raise ValueError(f"samples must be at least 1, got {config.samples}")
     if config.recolorings < 0:
         raise ValueError(f"recolorings must be at least 0, got {config.recolorings}")
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
     result = CampaignResult(config=config, config_hash=config.config_hash())
     for delta in config.deltas:
         n = config.n_for(delta)

@@ -109,12 +109,19 @@ def rule_exchange(graph: EdgeColoredGraph, matching: Matching, depth: int = 3,
     is taken.  Returns the first strictly larger rainbow matching found.
     ``node_budget`` bounds the total core node count; hitting it raises
     :class:`BudgetExceeded`.  A matched edge absent from the graph raises
-    :class:`UnknownEdge`.
+    :class:`UnknownEdge`.  A negative ``depth`` raises ``ValueError``, as
+    in :func:`run_engine`; 0 tries no exchange.
     """
+    _check_depth(depth)
     found, _removals, budget_hit = _exchange(graph, matching, depth, node_budget, [0])
     if budget_hit:
         raise BudgetExceeded(f"node budget {node_budget} hit in the exchange")
     return found
+
+
+def _check_depth(depth: int) -> None:
+    if depth < 0:
+        raise ValueError(f"exchange depth must be at least 0, got {depth}")
 
 
 def _exchange(graph, matching, depth, budget, counter):
@@ -225,9 +232,7 @@ def run_engine(graph: EdgeColoredGraph, target: int,
     heuristic: ``optimal`` is always False.  A negative
     ``max_exchange_depth`` raises ``ValueError``; 0 runs no exchange.
     """
-    if max_exchange_depth < 0:
-        raise ValueError(
-            f"exchange depth must be at least 0, got {max_exchange_depth}")
+    _check_depth(max_exchange_depth)
     if target <= 0:
         return SolveResult(Matching(), 0, False, 0,
                            (RuleStep(RULE_SEED, (), ()),))

@@ -30,8 +30,10 @@ from rainbowmatch import (
     to_json,
 )
 
+from rainbowmatch import auditor
 from rainbowmatch.auditor import (
     _best_at,
+    _certify_from,
     _relaxation,
     _tuple_count,
     const_counts,
@@ -203,6 +205,16 @@ def test_mono_multiplicity_violation_and_mono_rule_fire_jointly():
     assert witness_edges == {(2, 3, 1), (4, 5, 1)}
     assert rule_mono(g, matching) is not None
     assert "mono" in applicable_rules(g, matching)
+
+
+def test_applicable_rules_rejects_negative_depth():
+    # Depth 3 lists the exchange; a negative depth must not drop it quietly.
+    g = build_graph(8, [(0, 1, 1), (2, 3, 1), (4, 5, 1), (0, 6, 2), (1, 7, 3)])
+    matching = Matching([(0, 1, 1)])
+    assert applicable_rules(g, matching, 2, 3) == ["mono", "exchange"]
+    assert applicable_rules(g, matching, 2, 0) == ["mono"]
+    with pytest.raises(ValueError, match="exchange depth must be at least 0, got -1"):
+        applicable_rules(g, matching, 2, -1)
 
 
 # --------------------------------------------------------------- validation
@@ -678,6 +690,66 @@ def test_relaxation_is_a_concave_upper_bound():
                 assert found is None or relaxed[r] >= 8 * found[0], \
                     f"delta={delta} a_cap={a_cap} r={r}"
             assert _tuple_count(delta, a_cap) == count, f"delta={delta} a_cap={a_cap}"
+
+
+def relaxation_a(delta, r):
+    """8 * U(r) up to the split 5r = 2*delta + 2; apex (6*delta - 66)/7."""
+    return -7 * r * r + (12 * delta - 132) * r + 68 * delta * delta - 24 * delta - 28
+
+
+def relaxation_b(delta, r):
+    """8 * U(r) past the split; apex (2*delta - 7)/4."""
+    return -32 * r * r + (32 * delta - 112) * r + 64 * delta * delta - 32 * delta - 32
+
+
+def test_relaxation_closed_forms():
+    # Each piece of _relaxation and its closed form have degree <= 2 in
+    # delta and in r, so agreeing on a 3x3 grid inside the piece proves
+    # the identity; every r at delta = 2..399 pins the split.
+    for delta in (20, 30, 40):
+        for r in (0, 1, 2):
+            assert 5 * r <= 2 * delta + 2
+            assert _relaxation(delta, r) == relaxation_a(delta, r)
+    for delta in (30, 40, 50):
+        for r in (25, 26, 27):
+            assert 5 * r > 2 * delta + 2
+            assert _relaxation(delta, r) == relaxation_b(delta, r)
+    for delta in range(2, 400):
+        for r in range(delta):
+            form = relaxation_a if 5 * r <= 2 * delta + 2 else relaxation_b
+            assert _relaxation(delta, r) == form(delta, r), f"delta={delta} r={r}"
+
+
+def test_certify_walk_is_sound_from_every_start():
+    # Concavity of U alone makes the walk exact, whatever its start.
+    for delta in range(2, 81):
+        for a_cap in r_sweep_caps(delta):
+            expected = certify_counting_bound(delta, a_cap)
+            for start in range(delta):
+                assert _certify_from(delta, a_cap, start) == expected, \
+                    f"delta={delta} a_cap={a_cap} start={start}"
+
+
+def test_certify_evaluates_few_counts(monkeypatch):
+    # Started at the apex of U's peak piece, the walk evaluates at most
+    # three U values and two per-r maxima: O(1) work per delta.
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(auditor, name, wrapper)
+
+    counted("_relaxation", _relaxation)
+    counted("_best_at", _best_at)
+    cases = [(delta, a_cap) for delta in range(2, 3001)
+             for a_cap in r_sweep_caps(delta)]
+    for delta, a_cap in cases + [(10**4, None), (10**5, None)]:
+        calls.update(_relaxation=0, _best_at=0)
+        certify_counting_bound(delta, a_cap)
+        assert calls["_relaxation"] <= 3 and calls["_best_at"] <= 2, \
+            f"delta={delta} a_cap={a_cap} calls={calls}"
 
 
 def test_relaxation_bounds_every_class_size():

@@ -190,6 +190,20 @@ def test_verify_rejects_counts_that_check_nothing(tmp_path, capsys):
         assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--prob", "7"],
+                 "extra edge probability must lie in [0, 1], got 7.0", id="prob=7"),
+    pytest.param(["--n-rule", "bogus"], "bad n_rule: 'bogus'", id="n-rule=bogus")])
+def test_verify_rejected_run_leaves_no_out_dir(flags, message, tmp_path, capsys):
+    out = tmp_path / "newdir"
+    assert main(["verify", "--deltas", "2", "--samples", "2",
+                 "--recolorings", "0", "--out", str(out), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_verify_rejects_repeated_delta(tmp_path, capsys):
     assert main(["verify", "--deltas", "2,2", "--samples", "3",
                  "--recolorings", "1", "--out", str(tmp_path)]) == 2
@@ -395,6 +409,17 @@ def test_audit_explicit_state_flags_violations(tmp_path, capsys):
     assert "mono" in payload["applicable_rules"]
 
 
+def test_audit_rejects_negative_depth_with_a_matching(tmp_path, capsys):
+    # With --matching no engine runs, but the rule list still needs a depth.
+    path = tmp_path / "gadget.txt"
+    path.write_text("g 8\ne 0 1 1\ne 2 3 1\ne 4 5 1\ne 0 6 2\ne 1 7 3\n")
+    assert main(["audit", str(path), "--target", "2", "--matching", "0,1,1",
+                 "--mono-color", "2", "--depth", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: exchange depth must be at least 0, got -1\n"
+
+
 def test_audit_budget_bounds_the_rule_checks(pend_file, capsys):
     # The depth-1 exchange that swaps 01 for two edges needs 6 core nodes.
     argv = ["audit", pend_file, "--target", "2", "--matching", "0,1,1"]
@@ -529,6 +554,10 @@ def test_cli_result_files_are_pinned(tmp_path, capsys, monkeypatch, k4_file,
     k66.write_text(dumps_graph(latin_to_graph(cyclic_square(6))))
     gadget = tmp_path / "gadget.txt"
     gadget.write_text("g 8\ne 0 1 1\ne 2 3 1\ne 4 5 1\ne 0 6 2\ne 1 7 3\n")
+    # A cap of 2000 binds only past d = 1001, so both certify runs print the
+    # same lines.
+    digests["certify"] = run(["certify", "2..600"])
+    digests["certify a-cap"] = run(["certify", "2..600", "--a-cap", "2000"])
     digests["audit k4"] = run(["audit", k4_file, "--target", "2"])
     digests["audit k66"] = run(["audit", str(k66), "--target", "6"])
     digests["audit gadget"] = run(
@@ -550,6 +579,10 @@ def test_cli_result_files_are_pinned(tmp_path, capsys, monkeypatch, k4_file,
             "b3948c2a983d24a4628975ba467105a7638c7893cc094956aae2fbaf3ec26137",
         "audit k66":
             "17f2a8f924e4b1db5589177560663fd323b8bfddba559e4b8bc576b1c1999f5c",
+        "certify":
+            "bffc4411d28add389eff7830f9e217308cf06f91d22e570deaa810cdfe9cf8ac",
+        "certify a-cap":
+            "bffc4411d28add389eff7830f9e217308cf06f91d22e570deaa810cdfe9cf8ac",
         "scan csv":
             "01c89195b619d210b7e1a5eb1991a0fb37dde889d5db7cc85391af4758ad8aaa",
         "scan json":

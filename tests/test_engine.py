@@ -216,6 +216,15 @@ def test_negative_exchange_depth_raises():
         run_engine(k4_one_factorization(), 2, max_exchange_depth=-1)
 
 
+def test_rule_exchange_rejects_negative_depth():
+    # Depth 0 tries no exchange; a negative one is an error, as in run_engine.
+    g = c4((1, 2, 3, 2))
+    m = Matching([(1, 2, 2)])
+    assert rule_exchange(g, m, 0) is None
+    with pytest.raises(ValueError, match="exchange depth must be at least 0, got -1"):
+        rule_exchange(g, m, -1)
+
+
 def test_vertex_reduce_inapplicable_below_degree_cap():
     g = c4((1, 2, 3, 2))  # max degree 2 <= 3*(2-1)
     assert rule_vertex_reduce(g, 2) is None
