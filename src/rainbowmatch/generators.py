@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass
+from math import ceil, log
 
 from .errors import InfeasibleDegree, OrderTooLarge
 from .graphs import EdgeColoredGraph, build_graph
@@ -28,17 +29,70 @@ class SimpleGraph:
         return SimpleGraph(n, tuple(sorted({(min(u, v), max(u, v)) for u, v in pairs})))
 
 
+def _sample(rng: random.Random, population, k: int) -> list:
+    """``Random.sample(population, k)``, drawn from ``rng.getrandbits`` alone.
+
+    Consumes the generator exactly as CPython's ``Random.sample`` does on
+    3.10-3.13 (both of its methods, chosen by the same size rule, each
+    draw below m taking ``m.bit_length()`` bits until one is below m), so
+    every seed gives the stdlib's sample, without the stdlib's Python-level
+    ``_randbelow`` call per draw.  k outside 0..len(population) raises
+    ``ValueError``.
+    """
+    n = len(population)
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    result = [None] * k
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    if n <= setsize:
+        # Shrinking pool: the unpicked items sit in pool[:m].
+        pool = list(population)
+        for i in range(k):
+            m = n - i
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            result[i] = pool[j]
+            pool[j] = pool[m - 1]
+    else:
+        # Rejection set: redraw an index already taken.
+        bits = n.bit_length()
+        selected: set[int] = set()
+        for i in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
+            selected.add(j)
+            result[i] = population[j]
+    return result
+
+
+def _shuffle(rng: random.Random, x: list) -> None:
+    """``Random.shuffle(x)`` in place, drawn from ``rng.getrandbits`` alone,
+    with the same draws and swaps as CPython's ``Random.shuffle`` on
+    3.10-3.13."""
+    getrandbits = rng.getrandbits
+    for i in reversed(range(1, len(x))):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        x[i], x[j] = x[j], x[i]
+
+
 def random_graph_min_degree(n: int, delta: int, seed: int,
                             extra_edge_prob: float = 0.0) -> SimpleGraph:
     """Random simple graph on n vertices with minimum degree >= delta.
 
-    Each vertex proposes ``delta`` distinct neighbours; vertices still
-    deficient afterwards are repaired by joining them to their
-    lowest-degree non-neighbours.  Each remaining pair is then added
-    independently with probability ``extra_edge_prob``, which must lie in
-    [0, 1] (``ValueError`` otherwise, NaN included).  ``delta >= n``
-    raises :class:`InfeasibleDegree`; n == delta + 1 forces the complete
-    graph.
+    Each vertex proposes ``delta`` distinct neighbours, so every degree
+    reaches ``delta``.  Each remaining pair is then added independently
+    with probability ``extra_edge_prob``, which must lie in [0, 1]
+    (``ValueError`` otherwise, NaN included).  ``delta >= n`` raises
+    :class:`InfeasibleDegree`; n == delta + 1 forces the complete graph.
     """
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise ValueError(
@@ -48,36 +102,21 @@ def random_graph_min_degree(n: int, delta: int, seed: int,
     if delta >= n:
         raise InfeasibleDegree(f"minimum degree {delta} impossible on {n} vertices")
     rng = random.Random(seed)
-    edges: set[tuple[int, int]] = set()
     adj: list[set[int]] = [set() for _ in range(n)]
-
-    def add(u: int, v: int) -> None:
-        if u > v:
-            u, v = v, u
-        if (u, v) not in edges:
-            edges.add((u, v))
-            adj[u].add(v)
-            adj[v].add(u)
-
     others = list(range(n))
     for v in range(n):
-        pool = others[:v] + others[v + 1:]
-        for w in rng.sample(pool, delta):
-            add(v, w)
-    while True:
-        deficient = [v for v in range(n) if len(adj[v]) < delta]
-        if not deficient:
-            break
-        v = min(deficient, key=lambda x: (len(adj[x]), x))
-        candidates = [w for w in range(n) if w != v and w not in adj[v]]
-        w = min(candidates, key=lambda x: (len(adj[x]), x))
-        add(v, w)
+        at_v = adj[v]
+        for w in _sample(rng, others[:v] + others[v + 1:], delta):
+            at_v.add(w)
+            adj[w].add(v)
     if extra_edge_prob > 0.0:
         for u in range(n):
             for v in range(u + 1, n):
                 if v not in adj[u] and rng.random() < extra_edge_prob:
-                    add(u, v)
-    return SimpleGraph(n, tuple(sorted(edges)))
+                    adj[u].add(v)
+                    adj[v].add(u)
+    return SimpleGraph(n, tuple([(u, v) for u in range(n)
+                                 for v in sorted(adj[u]) if v > u]))
 
 
 def greedy_proper_coloring(graph: SimpleGraph, seed: int) -> EdgeColoredGraph:
@@ -90,18 +129,19 @@ def greedy_proper_coloring(graph: SimpleGraph, seed: int) -> EdgeColoredGraph:
     :func:`build_graph` rejects an edge outside 0..n-1.
     """
     rng = random.Random(seed)
-    order = list(range(len(graph.edges)))
-    rng.shuffle(order)
+    edges = graph.edges
+    order = list(range(len(edges)))
+    _shuffle(rng, order)
     at_vertex: defaultdict[int, int] = defaultdict(int)
-    colors = [0] * len(graph.edges)
+    colors = [0] * len(edges)
     for idx in order:
-        u, v = graph.edges[idx]
+        u, v = edges[idx]
         used = at_vertex[u] | at_vertex[v]
         bit = ~used & (used + 1)
         colors[idx] = bit.bit_length()
         at_vertex[u] |= bit
         at_vertex[v] |= bit
-    return build_graph(graph.n, [(u, v, c) for (u, v), c in zip(graph.edges, colors)])
+    return build_graph(graph.n, [(u, v, c) for (u, v), c in zip(edges, colors)])
 
 
 def one_factorization(k: int) -> EdgeColoredGraph:
@@ -142,7 +182,7 @@ def random_latin(n: int, seed: int) -> LatinSquare:
         r, c = divmod(pos, n)
         options = [s for s in range(1, n + 1)
                    if s not in row_used[r] and s not in col_used[c]]
-        rng.shuffle(options)
+        _shuffle(rng, options)
         for s in options:
             grid[r][c] = s
             row_used[r].add(s)

@@ -829,6 +829,15 @@ def test_certify_large_delta_boundary_quadratic():
     assert res.holds
 
 
+def test_certify_margin_at_least_three_minus_33_over_8d():
+    # For d >= 22 the peak of the relaxation lies on the piece past the
+    # split, where T - B at B's apex is 48d - 66: margin >= 3 - 33/(8d).
+    # The slack shrinks with d, to 1/4800 at d = 600.
+    for delta in range(22, 601):
+        assert certify_counting_bound(delta).margin >= 3 - Fraction(33, 8 * delta), delta
+    assert certify_counting_bound(22).margin == Fraction(31, 11)
+
+
 def test_certify_respects_a_cap_argument():
     res = certify_counting_bound(4, a_cap=30)
     assert res.a_cap == 30

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from collections import Counter
 
@@ -18,6 +19,7 @@ from rainbowmatch import (
     random_latin,
     run_campaign,
 )
+from rainbowmatch.generators import SimpleGraph, _sample, _shuffle
 
 from conftest import cells_csv, independent_is_proper, instances_csv
 
@@ -28,6 +30,44 @@ def degrees(simple):
         counts[u] += 1
         counts[v] += 1
     return [counts.get(v, 0) for v in range(simple.n)]
+
+
+# --------------------------------------------- draws on Random.getrandbits
+
+def sample_uses_the_pool(n, k):
+    """The stdlib's choice between its two methods of ``Random.sample``."""
+    setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+    return n <= setsize
+
+
+def test_sample_matches_the_stdlib():
+    methods = set()
+    for n in sorted({*range(0, 201, 9), 21, 22, 85, 86, 200}):
+        population = [f"v{i}" for i in range(n)]
+        for k in range(n + 1):
+            ours, theirs = random.Random(1000 * n + k), random.Random(1000 * n + k)
+            assert _sample(ours, population, k) == theirs.sample(population, k), (n, k)
+            assert ours.getstate() == theirs.getstate(), (n, k)
+            methods.add((sample_uses_the_pool(n, k), k > 5))
+    assert methods == {(True, False), (True, True), (False, False), (False, True)}
+
+
+def test_shuffle_matches_the_stdlib():
+    for length in range(201):
+        ours, theirs = random.Random(length), random.Random(length)
+        x, y = list(range(length)), list(range(length))
+        _shuffle(ours, x)
+        theirs.shuffle(y)
+        assert x == y, length
+        assert ours.getstate() == theirs.getstate(), length
+
+
+def test_sample_rejects_k_outside_the_population():
+    # A pool of size 0 would draw getrandbits(0) == 0 forever.
+    for n in (0, 1, 5, 30):
+        for k in (-1, n + 1):
+            with pytest.raises(ValueError, match="larger than population or is negative"):
+                _sample(random.Random(0), list(range(n)), k)
 
 
 # ------------------------------------------------- uncoloured graph sampler
@@ -155,9 +195,20 @@ def test_small_campaign_files_are_pinned():
     ]
 
 
-def test_greedy_coloring_small_literals():
-    from rainbowmatch.generators import SimpleGraph
+@pytest.mark.parametrize("pair, message", [
+    ((0, 5), "edge (0, 5) outside vertex range 0..2"),
+    ((-1, 1), "edge (-1, 1) outside vertex range 0..2"),
+    ((0, 1.0), "vertex must be an integer, got 1.0"),
+    ((0, True), "vertex must be an integer, got True"),
+])
+def test_greedy_coloring_rejects_bad_vertices(pair, message):
+    with pytest.raises(ValueError) as info:
+        greedy_proper_coloring(SimpleGraph(3, (pair,)), 0)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
 
+
+def test_greedy_coloring_small_literals():
     single = greedy_proper_coloring(SimpleGraph.from_pairs(2, [(0, 1)]), 0)
     assert single.edges == ((0, 1, 1),)
     triangle = greedy_proper_coloring(SimpleGraph.from_pairs(3, [(0, 1), (1, 2), (0, 2)]), 0)
