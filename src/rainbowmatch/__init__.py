@@ -21,7 +21,6 @@ modules make that guarantee executable:
 
 from .errors import (
     BudgetExceeded,
-    CapUnsafe,
     DuplicateEdge,
     Error,
     ImproperColoring,
@@ -123,7 +122,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditReport", "BudgetExceeded", "CampaignConfig", "CampaignResult",
-    "CapUnsafe", "CellResult", "CertResult", "ClaimCheck", "DuplicateEdge",
+    "CellResult", "CertResult", "ClaimCheck", "DuplicateEdge",
     "Edge", "EdgeColoredGraph", "Error", "ImproperColoring",
     "InfeasibleDegree", "InstanceRecord", "InvalidState", "LatinSquare",
     "LoopEdge", "MatchedPair", "Matching", "NotCompleteBipartite", "NotStuck",

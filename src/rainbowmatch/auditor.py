@@ -51,7 +51,7 @@ from .engine import (
     rule_vertex_reduce,
     run_engine,
 )
-from .errors import BudgetExceeded, CapUnsafe, InvalidState, NotStuck, UnknownEdge
+from .errors import BudgetExceeded, InvalidState, NotStuck, UnknownEdge
 from .graphs import (
     Edge,
     EdgeColoredGraph,
@@ -379,9 +379,11 @@ class CertResult:
     worst_tuple: tuple  # (good pairs, nice pairs, class size, touched as Fraction)
     worst_n: Fraction
     margin: Fraction
-    forms_agree: bool
     tuples_checked: int
-    a_cap: int
+
+    # Not a field.  Its one reason to exist is the certify workload's check
+    # (perfbench/workloads.py, _certify_check), which still reads it.
+    forms_agree = True
 
 
 def const_printed(delta: int, r: int) -> int:
@@ -389,32 +391,10 @@ def const_printed(delta: int, r: int) -> int:
     return (3 * delta - 10 - r) * r + 2 * (delta + 3) * (delta - 1)
 
 
-def const_counts(delta: int, r: int, s: int) -> int:
-    """C re-derived from the nice-edge count (cap minus the counted lower
-    bound), before simplification; it does not depend on s."""
-    return ((3 * delta - 9 + s) * r + 6 * (delta - 1)
-            + 2 * delta * (delta - 1) - (r + s + 1) * r)
-
-
-def constant_forms_agree() -> bool:
-    """True iff the two forms of C are the same polynomial in (delta, r, s).
-
-    Both have degree at most 2 in each variable, so agreeing on a 3x3x3
-    grid of distinct values makes them identical everywhere.
-    """
-    return all(const_printed(d, r) == const_counts(d, r, s)
-               for d in range(3) for r in range(3) for s in range(3))
-
-
-# Both forms of C are fixed polynomials, so one comparison per process
-# settles the identity for every delta.
-_FORMS_AGREE = constant_forms_agree()
-
-
-def _best_at(delta: int, r: int, a_cap: int) -> tuple[int, int, int] | None:
+def _best_at(delta: int, r: int) -> tuple[int, int, int] | None:
     """First maximiser ``(doubled bound, a, 2t)`` over the class sizes at
     good-pair count r and s = 0, or None when no class size is admissible."""
-    hi = min(a_cap, (4 * delta - 4 - r) // 2)
+    hi = (4 * delta - 4 - r) // 2
     if hi < 2:
         return None
     b = 2 * delta - 2 - 2 * r
@@ -456,40 +436,29 @@ def _relaxation(delta: int, r: int) -> int:
     return 8 * (2 * c + (2 * delta - 4 + r) * b)
 
 
-def _sums(n: int) -> tuple[int, int, int]:
-    """The sums of r, of r * r and of the odd r over r = 0..n, for n >= -1."""
-    return n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6, ((n + 1) // 2) ** 2
-
-
-def _tuple_count(delta: int, a_cap: int) -> int:
+def _tuple_count(delta: int) -> int:
     """The sum of max(r, 1) * (hi(r) - 1) over r = 0..delta-1."""
-    m = 4 * delta - 4
-    split = min(m - 2 * a_cap, delta - 1)   # hi(r) = a_cap up to here
-    total = (a_cap - 1) * (split * (split + 1) // 2 + 1) if split >= 0 else 0
-    first = max(split + 1, 0)
-    if first < delta:
-        s1, s2, odd = _sums(delta - 1)
-        f1, f2, f_odd = _sums(first - 1)
-        # 2 * (hi(r) - 1) = m - 2 - r - (r & 1); r = 0 has weight 1, not r.
-        twice = (m - 2) * (s1 - f1) - (s2 - f2) - (odd - f_odd)
-        if first == 0:
-            twice += m - 2
-        total += twice // 2
-    return total
+    s1 = delta * (delta - 1) // 2                          # sum of r
+    s2 = delta * (delta - 1) * (2 * delta - 1) // 6        # sum of r * r
+    odd = (delta // 2) ** 2                                # sum of the odd r
+    # 2 * (hi(r) - 1) = m - 2 - r - (r & 1) with m = 4*delta - 4; r = 0 has
+    # weight 1, not r.
+    return ((4 * delta - 6) * (s1 + 1) - s2 - odd) // 2
 
 
-def certify_counting_bound(delta: int, a_cap: int | None = None) -> CertResult:
+def certify_counting_bound(delta: int) -> CertResult:
     """Certify that every admissible count tuple keeps the order below the
     rainbow threshold (9*delta - 5) / 2.
 
     The tuples are the good-pair count r >= 0, the nice-pair count s >= 0
-    (a nice pair requires a good one), the class size a in 2..a_cap and the
+    (a nice pair requires a good one), the class size a >= 2 and the
     least touched count t = max(0, a - delta + 1 - (r+s)/2) allowed by the
     audit bounds; tuples with r + s + t > delta - 1 are not admissible.
     With p = r + s and B = 2*delta - 2 - 2r - s (not negative, as
     p <= delta - 1), the admissible sizes are
-    2 <= a <= hi(p) = min(a_cap, (4*delta - 4 - p) // 2), and on them the
-    doubled bound is 2*C + 2*(a-1)*B - (a-2)*2t with C = C(delta, r).
+    2 <= a <= hi(p) = (4*delta - 4 - p) // 2, and on them the doubled
+    bound is 2*C + 2*(a-1)*B - (a-2)*2t with C = C(delta, r).  No
+    admissible class size exceeds 2*delta - 2, so no cap is needed.
 
     The nice-pair count drops out.  Fix r and an admissible a, and raise s
     by one: p rises by one, so hi can only shrink (no new a is admitted),
@@ -524,9 +493,8 @@ def certify_counting_bound(delta: int, a_cap: int | None = None) -> CertResult:
     and U = q(r, K/2) = 2C + (2*delta - 4 + r)*B.  U is at least the
     doubled bound at every admissible (r, a): from K/2 on the bound is q,
     and before it the bound is the t = 0 line, of slope 2B >= 0 in a,
-    which meets q at K/2; a_cap only shrinks the domain.  U is the maximum of a
-    jointly concave function over the convex set a >= K/2, so it is
-    concave in r.
+    which meets q at K/2.  U is the maximum of a jointly concave function
+    over the convex set a >= K/2, so it is concave in r.
 
     On each side of the split 5r = 2*delta + 2, 8U is a quadratic in r:
     up to it A(r) = -7r^2 + (12*delta - 132)r + 68*delta^2 - 24*delta - 28,
@@ -547,54 +515,33 @@ def certify_counting_bound(delta: int, a_cap: int | None = None) -> CertResult:
     with the smallest r wins, so ``worst_tuple`` is the first maximiser of
     the full (r, s, a) grid.  Everything is an integer: the bound at twice
     the natural scale and U at eight times that.  From the apex, at most
-    three U and two per-r maxima are evaluated for every delta <= 3000 at
-    the default cap, the smallest safe one, 2*delta and 10*delta, and at
-    delta = 10^4 and 10^5.
+    three U and two per-r maxima are evaluated for every delta <= 3000 and
+    at delta = 10^4 and 10^5.
 
     ``tuples_checked`` counts every admissible tuple the certificate
     covers, those with s > 0 through the argument above.  Exactly one pair
     (r, s) has p = 0 and exactly p pairs (r = 1..p) have a given p >= 1,
-    so it is the sum of max(r, 1) * (hi(r) - 1) over r = 0..delta-1.  Up
-    to r = 4*delta - 4 - 2*a_cap, hi(r) = a_cap; past that, with
-    M = 4*delta - 4 even, hi(r) = (M - r - (r & 1)) / 2, so the sum is a
-    closed form in the sums of r, of r^2 and of the odd r over a range.
-
-    The a-free constant C has two forms, the printed closed form and the
-    one re-derived from the nice-edge count (cap minus the counted lower
-    bound); ``forms_agree`` reports that they are the same polynomial
-    (:func:`constant_forms_agree`).  That does not depend on delta and is
-    checked once per process, at import.
-
-    Beyond ``a_cap`` (default 6*delta) the bound must be provably
-    decreasing in a, else :class:`CapUnsafe` is raised: the cap has to
-    clear both the activation point of t and the stationary point of the
-    resulting quadratic.
+    so it is the sum of max(r, 1) * (hi(r) - 1) over r = 0..delta-1.
+    With M = 4*delta - 4 even, hi(r) = (M - r - (r & 1)) / 2, so the sum is
+    a closed form in the sums of r, of r^2 and of the odd r.
     """
+    if type(delta) is not int:
+        raise ValueError(f"delta must be an integer, got {delta!r}")
     if delta < 2:
         raise ValueError("delta must be at least 2")
-    if a_cap is None:
-        a_cap = 6 * delta
-    if a_cap < 2:
-        raise ValueError("a_cap must be at least 2")
-    # Tail certificate.  t activates at a = delta - 1 + (r+s)/2, worst case
-    # r + s = delta - 1; the quadratic's stationary point is
-    # (3*delta - 1)/2 - (3r + s)/4, worst case r = s = 0.
-    if 2 * a_cap < 3 * (delta - 1) or 4 * a_cap < 2 * (3 * delta - 1):
-        raise CapUnsafe(
-            f"a_cap {a_cap} does not clear the activation/stationary points for delta {delta}")
 
     # U's peak: A's apex up to delta = 21, B's apex from 22 on.
     apex = (6 * delta - 66) // 7 if delta <= 21 else (2 * delta - 7) // 4
-    return _certify_from(delta, a_cap, min(max(apex, 0), delta - 1))
+    return _certify_from(delta, min(max(apex, 0), delta - 1))
 
 
-def _certify_from(delta: int, a_cap: int, start: int) -> CertResult:
+def _certify_from(delta: int, start: int) -> CertResult:
     """The certificate of :func:`certify_counting_bound`, with the walk
     over good-pair counts started at ``start`` in 0..delta-1."""
     best = None   # (doubled bound, -r, a, 2t): the largest, then the first r
     for step, r in ((1, start), (-1, start - 1)):
         while 0 <= r < delta and (best is None or _relaxation(delta, r) >= 8 * best[0]):
-            found = _best_at(delta, r, a_cap)
+            found = _best_at(delta, r)
             if found is not None:
                 val, a, t2 = found
                 if best is None or (val, -r) > best[:2]:
@@ -604,11 +551,9 @@ def _certify_from(delta: int, a_cap: int, start: int) -> CertResult:
     best_val, neg_r, a, t2 = best
     return CertResult(
         delta=delta,
-        holds=best_val < delta * (9 * delta - 5) and _FORMS_AGREE,
+        holds=best_val < delta * (9 * delta - 5),
         worst_tuple=(-neg_r, 0, a, Fraction(t2, 2)),
         worst_n=Fraction(best_val, 2 * delta),
         margin=Fraction(delta * (9 * delta - 5) - best_val, 2 * delta),
-        forms_agree=_FORMS_AGREE,
-        tuples_checked=_tuple_count(delta, a_cap),
-        a_cap=a_cap,
+        tuples_checked=_tuple_count(delta),
     )

@@ -164,7 +164,7 @@ def cmd_scan(args) -> int:
 def cmd_certify(args) -> int:
     failures = 0
     for delta in _parse_int_list(args.deltas):
-        res = certify_counting_bound(delta, a_cap=args.a_cap)
+        res = certify_counting_bound(delta)
         r, s, a, t = res.worst_tuple
         status = "holds" if res.holds else "FAILS"
         threshold = Fraction(9 * delta - 5, 2)
@@ -172,7 +172,7 @@ def cmd_certify(args) -> int:
               f"threshold={_fraction_str(threshold)} "
               f"margin={_fraction_str(res.margin)} "
               f"worst=(good={r},nice={s},class={a},touched={_fraction_str(t)}) "
-              f"tuples={res.tuples_checked} forms_agree={res.forms_agree}")
+              f"tuples={res.tuples_checked}")
         if not res.holds:
             failures += 1
     if failures:
@@ -325,9 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
                                        "over tuples without nice pairs, "
                                        "which dominate all others")
     p.add_argument("deltas", help="e.g. 5, 2,3,4 or 2..200")
-    p.add_argument("--a-cap", type=int, default=None, dest="a_cap",
-                   help="largest monochromatic class size covered "
-                        "(default 6*delta)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("latin", help="transversal counting and checks")

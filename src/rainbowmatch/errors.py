@@ -54,10 +54,6 @@ class NotStuck(Error):
     """The rule engine reached its target, leaving nothing to audit."""
 
 
-class CapUnsafe(Error):
-    """The class-size cap fails the decreasing-tail certificate."""
-
-
 class NotCompleteBipartite(Error):
     """Graph is not a balanced complete bipartite graph."""
 

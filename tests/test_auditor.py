@@ -8,7 +8,6 @@ import pytest
 
 from rainbowmatch import (
     BudgetExceeded,
-    CapUnsafe,
     CertResult,
     InvalidState,
     Matching,
@@ -36,9 +35,7 @@ from rainbowmatch.auditor import (
     _certify_from,
     _relaxation,
     _tuple_count,
-    const_counts,
     const_printed,
-    constant_forms_agree,
 )
 
 from conftest import k33_cyclic, k4_one_factorization, pendant_star, random_instance
@@ -388,7 +385,7 @@ def test_audit_reports_are_pinned():
 
 # ----------------------------------------------------------- certification
 
-def oracle_certify(delta, a_cap=None):
+def oracle_certify(delta):
     """Independent exact maximiser over the same admissible tuples.
 
     For fixed pair counts the bound is linear then concave-quadratic in the
@@ -397,8 +394,6 @@ def oracle_certify(delta, a_cap=None):
     evaluating those candidates with exact fractions finds the true
     maximum of worst_n = bound / delta.
     """
-    if a_cap is None:
-        a_cap = 6 * delta
     best = None
     for r in range(delta):
         for s in range(delta - r):
@@ -407,12 +402,12 @@ def oracle_certify(delta, a_cap=None):
             activation = Fraction(2 * (delta - 1) + (r + s), 2)
             apex = Fraction(3 * delta - 1, 2) - Fraction(3 * r + s, 4)
             feas_max = Fraction(2 * delta - 2) - Fraction(r + s, 2)
-            candidates = {2, a_cap}
+            candidates = {2}
             for x in (activation, apex, feas_max):
                 candidates.add(math.floor(x))
                 candidates.add(math.ceil(x))
             for a in candidates:
-                if a < 2 or a > a_cap:
+                if a < 2:
                     continue
                 t = max(Fraction(0), Fraction(2 * (a - delta + 1) - (r + s), 2))
                 if r + s + t > delta - 1:
@@ -427,7 +422,7 @@ def oracle_certify(delta, a_cap=None):
     return best
 
 
-def oracle_certify_full(delta, a_cap=None):
+def oracle_certify_full(delta):
     """Slow dense grid scanning every class size; validates the grid above
     and the certificate field by field.
 
@@ -435,8 +430,6 @@ def oracle_certify_full(delta, a_cap=None):
     bound / delta, its first maximiser ``(r, s, a, t)`` in (r, s, a) order
     and the number of admissible tuples.
     """
-    if a_cap is None:
-        a_cap = 6 * delta
     best = None
     best_tuple = None
     admissible = 0
@@ -444,7 +437,7 @@ def oracle_certify_full(delta, a_cap=None):
         for s in range(delta - r):
             if s >= 1 and r == 0:
                 continue
-            for a in range(2, a_cap + 1):
+            for a in range(2, 6 * delta + 1):
                 t = max(Fraction(0), Fraction(2 * (a - delta + 1) - (r + s), 2))
                 if r + s + t > delta - 1:
                     continue
@@ -460,26 +453,13 @@ def oracle_certify_full(delta, a_cap=None):
     return best, best_tuple, admissible
 
 
-def oracle_cert_result(delta, a_cap=None):
+def oracle_cert_result(delta):
     """The :class:`CertResult` the dense grid predicts."""
-    if a_cap is None:
-        a_cap = 6 * delta
-    worst_n, worst_tuple, admissible = oracle_certify_full(delta, a_cap)
+    worst_n, worst_tuple, admissible = oracle_certify_full(delta)
     threshold = Fraction(9 * delta - 5, 2)
     return CertResult(delta=delta, holds=worst_n < threshold,
                       worst_tuple=worst_tuple, worst_n=worst_n,
-                      margin=threshold - worst_n, forms_agree=True,
-                      tuples_checked=admissible, a_cap=a_cap)
-
-
-def smallest_safe_cap(delta):
-    """Smallest class-size cap that does not raise CapUnsafe, and its result."""
-    a_cap = 2
-    while True:
-        try:
-            return a_cap, certify_counting_bound(delta, a_cap=a_cap)
-        except CapUnsafe:
-            a_cap += 1
+                      margin=threshold - worst_n, tuples_checked=admissible)
 
 
 def test_oracle_grid_matches_full_scan_for_small_delta():
@@ -494,42 +474,26 @@ def test_certify_matches_oracle():
         assert res.holds
         assert res.margin == Fraction(9 * delta - 5, 2) - res.worst_n
         assert res.margin > 0
-        assert res.forms_agree
     # Every field, tie-break and tuple count included, against the dense
-    # grid, at the default cap and at the smallest safe one.
+    # grid.
     for delta in range(2, 13):
         assert certify_counting_bound(delta) == oracle_cert_result(delta), \
             f"delta={delta}"
-        a_cap, res = smallest_safe_cap(delta)
-        assert res == oracle_cert_result(delta, a_cap), \
-            f"delta={delta} a_cap={a_cap}"
 
 
-def oracle_sweep(delta, a_cap=None):
+def oracle_sweep(delta):
     """The O(delta^2) certificate that walked every (r, s) pair, kept
     verbatim as an oracle for the s = 0 maximisation."""
     if delta < 2:
         raise ValueError("delta must be at least 2")
-    if a_cap is None:
-        a_cap = 6 * delta
-    if a_cap < 2:
-        raise ValueError("a_cap must be at least 2")
-    # Tail certificate.  t activates at a = delta - 1 + (r+s)/2, worst case
-    # r + s = delta - 1; the quadratic's stationary point is
-    # (3*delta - 1)/2 - (3r + s)/4, worst case r = s = 0.
-    if 2 * a_cap < 3 * (delta - 1) or 4 * a_cap < 2 * (3 * delta - 1):
-        raise CapUnsafe(
-            f"a_cap {a_cap} does not clear the activation/stationary points for delta {delta}")
-
     best_val: int | None = None
     best_pos: tuple[int, int, int, int] | None = None  # (r, s, a, 2t)
     checked = 0
-    forms_agree = constant_forms_agree()
     for r in range(delta):
         const = const_printed(delta, r)
         for s in range(delta - r if r else 1):
             p = r + s
-            hi = min(a_cap, (4 * delta - 4 - p) // 2)
+            hi = (4 * delta - 4 - p) // 2
             if hi < 2:
                 continue
             checked += hi - 1
@@ -563,51 +527,34 @@ def oracle_sweep(delta, a_cap=None):
     worst_tuple = (best_pos[0], best_pos[1], best_pos[2], Fraction(best_pos[3], 2))
     return CertResult(
         delta=delta,
-        holds=best_val < delta * (9 * delta - 5) and forms_agree,
+        holds=best_val < delta * (9 * delta - 5),
         worst_tuple=worst_tuple,
         worst_n=worst_n,
         margin=threshold - worst_n,
-        forms_agree=forms_agree,
         tuples_checked=checked,
-        a_cap=a_cap,
     )
 
 
 def test_certify_matches_the_pair_sweep():
-    # Every field, at the default cap, the smallest safe cap and three
-    # custom caps: one just past it, one at 2*delta and one far out.
+    # Every field.
     for delta in range(2, 121):
-        safe, _ = smallest_safe_cap(delta)
-        for a_cap in (None, safe, safe + 1, 2 * delta, 10 * delta):
-            assert certify_counting_bound(delta, a_cap) == \
-                oracle_sweep(delta, a_cap), f"delta={delta} a_cap={a_cap}"
+        assert certify_counting_bound(delta) == oracle_sweep(delta), \
+            f"delta={delta}"
 
 
-def oracle_r_sweep(delta, a_cap=None):
+def oracle_r_sweep(delta):
     """The O(delta) certificate that maximised over the class sizes at
     every good-pair count, kept verbatim as an oracle for the search
     around the relaxation's peak."""
     if delta < 2:
         raise ValueError("delta must be at least 2")
-    if a_cap is None:
-        a_cap = 6 * delta
-    if a_cap < 2:
-        raise ValueError("a_cap must be at least 2")
-    # Tail certificate.  t activates at a = delta - 1 + (r+s)/2, worst case
-    # r + s = delta - 1; the quadratic's stationary point is
-    # (3*delta - 1)/2 - (3r + s)/4, worst case r = s = 0.
-    if 2 * a_cap < 3 * (delta - 1) or 4 * a_cap < 2 * (3 * delta - 1):
-        raise CapUnsafe(
-            f"a_cap {a_cap} does not clear the activation/stationary points for delta {delta}")
-
     best_val: int | None = None
     best_pos: tuple[int, int, int] | None = None  # (r, a, 2t) at s = 0
     checked = 0
-    forms_agree = constant_forms_agree()
     for r in range(delta):
         const = const_printed(delta, r)
         # s = 0, so p = r; max(p, 1) pairs (r', s') share this p and hi.
-        hi = min(a_cap, (4 * delta - 4 - r) // 2)
+        hi = (4 * delta - 4 - r) // 2
         if hi < 2:
             continue
         checked += max(r, 1) * (hi - 1)
@@ -641,34 +588,18 @@ def oracle_r_sweep(delta, a_cap=None):
     r, a, t2 = best_pos
     return CertResult(
         delta=delta,
-        holds=best_val < delta * (9 * delta - 5) and forms_agree,
+        holds=best_val < delta * (9 * delta - 5),
         worst_tuple=(r, 0, a, Fraction(t2, 2)),
         worst_n=worst_n,
         margin=threshold - worst_n,
-        forms_agree=forms_agree,
         tuples_checked=checked,
-        a_cap=a_cap,
     )
-
-
-def r_sweep_caps(delta):
-    """The default cap, the smallest safe cap, 2*delta and 10*delta."""
-    return (6 * delta, 3 * delta // 2, 2 * delta, 10 * delta)
-
-
-def test_smallest_safe_cap_is_three_halves_delta():
-    for delta in range(2, 40):
-        assert smallest_safe_cap(delta)[0] == r_sweep_caps(delta)[1]
 
 
 def test_certify_matches_the_r_sweep():
     # Every field, so the search around the relaxation's peak finds the
     # same first maximiser and the closed form the same tuple count.
-    for delta in range(2, 601):
-        for a_cap in r_sweep_caps(delta):
-            assert certify_counting_bound(delta, a_cap) == \
-                oracle_r_sweep(delta, a_cap), f"delta={delta} a_cap={a_cap}"
-    for delta in (10**4, 10**5):
+    for delta in [*range(2, 601), 10**4, 10**5]:
         assert certify_counting_bound(delta) == oracle_r_sweep(delta), \
             f"delta={delta}"
 
@@ -682,14 +613,13 @@ def test_relaxation_is_a_concave_upper_bound():
         for r in range(1, delta - 1):
             assert relaxed[r - 1] - 2 * relaxed[r] + relaxed[r + 1] <= 0, \
                 f"delta={delta} r={r}"
-        for a_cap in r_sweep_caps(delta):
-            count = 0
-            for r in range(delta):
-                count += max(r, 1) * max(0, min(a_cap, (4 * delta - 4 - r) // 2) - 1)
-                found = _best_at(delta, r, a_cap)
-                assert found is None or relaxed[r] >= 8 * found[0], \
-                    f"delta={delta} a_cap={a_cap} r={r}"
-            assert _tuple_count(delta, a_cap) == count, f"delta={delta} a_cap={a_cap}"
+        count = 0
+        for r in range(delta):
+            count += max(r, 1) * max(0, (4 * delta - 4 - r) // 2 - 1)
+            found = _best_at(delta, r)
+            assert found is None or relaxed[r] >= 8 * found[0], \
+                f"delta={delta} r={r}"
+        assert _tuple_count(delta) == count, f"delta={delta}"
 
 
 def relaxation_a(delta, r):
@@ -723,11 +653,10 @@ def test_relaxation_closed_forms():
 def test_certify_walk_is_sound_from_every_start():
     # Concavity of U alone makes the walk exact, whatever its start.
     for delta in range(2, 81):
-        for a_cap in r_sweep_caps(delta):
-            expected = certify_counting_bound(delta, a_cap)
-            for start in range(delta):
-                assert _certify_from(delta, a_cap, start) == expected, \
-                    f"delta={delta} a_cap={a_cap} start={start}"
+        expected = certify_counting_bound(delta)
+        for start in range(delta):
+            assert _certify_from(delta, start) == expected, \
+                f"delta={delta} start={start}"
 
 
 def test_certify_evaluates_few_counts(monkeypatch):
@@ -743,13 +672,34 @@ def test_certify_evaluates_few_counts(monkeypatch):
 
     counted("_relaxation", _relaxation)
     counted("_best_at", _best_at)
-    cases = [(delta, a_cap) for delta in range(2, 3001)
-             for a_cap in r_sweep_caps(delta)]
-    for delta, a_cap in cases + [(10**4, None), (10**5, None)]:
+    for delta in [*range(2, 3001), 10**4, 10**5]:
         calls.update(_relaxation=0, _best_at=0)
-        certify_counting_bound(delta, a_cap)
+        certify_counting_bound(delta)
         assert calls["_relaxation"] <= 3 and calls["_best_at"] <= 2, \
-            f"delta={delta} a_cap={a_cap} calls={calls}"
+            f"delta={delta} calls={calls}"
+
+
+def test_certify_walk_starts_at_the_peak_apex(monkeypatch):
+    # The start is the floor of the apex of the piece of U that holds its
+    # peak, clipped to 0..delta-1; the piece is chosen with exact
+    # comparisons against the split 5r = 2*delta + 2.  Mutants this cannot
+    # catch give the same start (or the same U) for every delta: the
+    # boundary delta <= 21 moved to 20 or 22, since A's and B's apex floors
+    # agree at delta = 21 and 22, and _relaxation's split moved to
+    # 5r <= 2*delta + 1, since A = B at 5r = 2*delta + 2.
+    starts = []
+    monkeypatch.setattr(auditor, "_certify_from",
+                        lambda delta, start: starts.append(start))
+    for delta in range(2, 3001):
+        certify_counting_bound(delta)
+        split = 2 * delta + 2
+        a_apex = Fraction(6 * delta - 66, 7)
+        b_apex = Fraction(2 * delta - 7, 4)
+        on_a, on_b = 5 * a_apex <= split, 5 * b_apex > split
+        assert on_a != on_b, f"delta={delta}"
+        apex = a_apex if on_a else b_apex
+        assert starts.pop() == min(max(math.floor(apex), 0), delta - 1), \
+            f"delta={delta}"
 
 
 def test_relaxation_bounds_every_class_size():
@@ -776,8 +726,10 @@ def doubled_bound(delta, r, s, a):
 def test_each_nice_pair_strictly_lowers_the_bound():
     # The domination that lets the certificate evaluate s = 0 only: an
     # admissible (r, s, a) with s >= 1 has an admissible (r, s - 1, a)
-    # that scores strictly higher.  The grid's admissible tuples are also
-    # counted, against the certificate's closed-form count.
+    # that scores strictly higher.  No admissible tuple has a class size
+    # above 2*delta - 2, so the window up to 6*delta holds them all.  The
+    # grid's admissible tuples are also counted, against the certificate's
+    # closed-form count.
     for delta in range(2, 26):
         admissible = 0
         for r in range(delta):
@@ -787,11 +739,19 @@ def test_each_nice_pair_strictly_lowers_the_bound():
                     if value is None:
                         continue
                     admissible += 1
+                    assert a <= 2 * delta - 2, f"delta={delta} (r, s, a)=({r}, {s}, {a})"
                     if s:
                         above = doubled_bound(delta, r, s - 1, a)
                         assert above is not None and value < above, \
                             f"delta={delta} (r, s, a)=({r}, {s}, {a})"
         assert admissible == certify_counting_bound(delta).tuples_checked
+
+
+def const_counts(delta, r, s):
+    """C re-derived from the nice-edge count (cap minus the counted lower
+    bound), before simplification; it does not depend on s."""
+    return ((3 * delta - 9 + s) * r + 6 * (delta - 1)
+            + 2 * delta * (delta - 1) - (r + s + 1) * r)
 
 
 def test_constant_forms_agree_on_a_grid():
@@ -801,7 +761,6 @@ def test_constant_forms_agree_on_a_grid():
         for r in (0, 1, 5):
             for s in (0, 3, 9):
                 assert const_printed(delta, r) == const_counts(delta, r, s)
-    assert constant_forms_agree()
 
 
 def test_certify_delta_two_exactly():
@@ -838,22 +797,13 @@ def test_certify_margin_at_least_three_minus_33_over_8d():
     assert certify_counting_bound(22).margin == Fraction(31, 11)
 
 
-def test_certify_respects_a_cap_argument():
-    res = certify_counting_bound(4, a_cap=30)
-    assert res.a_cap == 30
-    assert res.worst_n == oracle_certify(4, a_cap=30)
-    assert res == oracle_cert_result(4, a_cap=30)
-
-
-def test_cap_unsafe_raised_for_small_caps():
-    with pytest.raises(CapUnsafe):
-        certify_counting_bound(10, a_cap=5)
-    with pytest.raises(CapUnsafe):
-        certify_counting_bound(2, a_cap=2)
-
-
 def test_certify_rejects_bad_arguments():
     with pytest.raises(ValueError):
         certify_counting_bound(1)
-    with pytest.raises(ValueError):
-        certify_counting_bound(5, a_cap=1)
+
+
+@pytest.mark.parametrize("delta", [5.0, 5.5, True, "5"])
+def test_certify_rejects_a_non_integer_delta(delta):
+    with pytest.raises(ValueError) as exc:
+        certify_counting_bound(delta)
+    assert repr(delta) in str(exc.value)

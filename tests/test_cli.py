@@ -273,14 +273,14 @@ def test_scan_rejects_fewer_than_one_sample(flags, message, tmp_path, capsys):
 
 CERTIFY_DELTA_2_LINE = ("delta=2 holds worst_n=6 threshold=13/2 margin=1/2 "
                         "worst=(good=0,nice=0,class=2,touched=1) "
-                        "tuples=1 forms_agree=True")
+                        "tuples=1")
 
 
 def test_certify_range(capsys):
     assert main(["certify", "2..5"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
-    assert all("holds" in line and "forms_agree=True" in line for line in lines)
+    assert all("holds" in line for line in lines)
     assert lines[0] == CERTIFY_DELTA_2_LINE
 
 
@@ -318,9 +318,10 @@ def test_certify_rejects_degenerate_delta(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_certify_rejects_unsafe_cap(capsys):
-    assert main(["certify", "10", "--a-cap", "5"]) == 2
-    assert "CapUnsafe" in capsys.readouterr().err
+def test_certify_has_no_cap_option(capsys):
+    # No admissible class size exceeds 2d - 2, so there is no cap to set.
+    assert main(["certify", "5", "--a-cap", "40"]) == 1
+    assert "unrecognized arguments: --a-cap 40" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- latin
@@ -554,10 +555,7 @@ def test_cli_result_files_are_pinned(tmp_path, capsys, monkeypatch, k4_file,
     k66.write_text(dumps_graph(latin_to_graph(cyclic_square(6))))
     gadget = tmp_path / "gadget.txt"
     gadget.write_text("g 8\ne 0 1 1\ne 2 3 1\ne 4 5 1\ne 0 6 2\ne 1 7 3\n")
-    # A cap of 2000 binds only past d = 1001, so both certify runs print the
-    # same lines.
     digests["certify"] = run(["certify", "2..600"])
-    digests["certify a-cap"] = run(["certify", "2..600", "--a-cap", "2000"])
     digests["audit k4"] = run(["audit", k4_file, "--target", "2"])
     digests["audit k66"] = run(["audit", str(k66), "--target", "6"])
     digests["audit gadget"] = run(
@@ -580,9 +578,7 @@ def test_cli_result_files_are_pinned(tmp_path, capsys, monkeypatch, k4_file,
         "audit k66":
             "17f2a8f924e4b1db5589177560663fd323b8bfddba559e4b8bc576b1c1999f5c",
         "certify":
-            "bffc4411d28add389eff7830f9e217308cf06f91d22e570deaa810cdfe9cf8ac",
-        "certify a-cap":
-            "bffc4411d28add389eff7830f9e217308cf06f91d22e570deaa810cdfe9cf8ac",
+            "b997640e0c459c8008e3a1159547466e18e94ae5b101131302e9aa4b1f6ce449",
         "scan csv":
             "01c89195b619d210b7e1a5eb1991a0fb37dde889d5db7cc85391af4758ad8aaa",
         "scan json":
