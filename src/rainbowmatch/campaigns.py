@@ -254,8 +254,8 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
             ok=ok,
             failures=failures,
             inconclusive=inconclusive,
-            success_fraction=(ok / total) if total else 0.0,
-            engine_success_fraction=(engine_ok / total) if total else 0.0,
+            success_fraction=ok / total,
+            engine_success_fraction=engine_ok / total,
         ))
     return result
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .auditor import (
+    NON_BINDING_CHECKS,
     applicable_rules,
     audit_state,
     audit_stuck_state,
@@ -43,9 +44,6 @@ from .latin import (
 from .generators import random_latin
 from .solver import count_rainbow_matchings, max_rainbow_matching
 
-# Failures of these audit checks are informational, not violations.
-NON_BINDING_CHECKS = {"pair-count-slack", "degree-cap"}
-
 
 def _parse_int_list(text: str) -> list[int]:
     """Accept "5", "2,3,4" or "2..200"; an empty list is an error."""
@@ -69,10 +67,6 @@ def _parse_triples(text: str) -> list[tuple[int, int, int]]:
             raise ValueError(f"bad edge triple: {chunk!r}")
         out.append((int(parts[0]), int(parts[1]), int(parts[2])))
     return out
-
-
-def _fraction_str(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else str(value)
 
 
 def cmd_solve(args) -> int:
@@ -168,10 +162,9 @@ def cmd_certify(args) -> int:
         r, s, a, t = res.worst_tuple
         status = "holds" if res.holds else "FAILS"
         threshold = Fraction(9 * delta - 5, 2)
-        print(f"delta={delta} {status} worst_n={_fraction_str(res.worst_n)} "
-              f"threshold={_fraction_str(threshold)} "
-              f"margin={_fraction_str(res.margin)} "
-              f"worst=(good={r},nice={s},class={a},touched={_fraction_str(t)}) "
+        print(f"delta={delta} {status} worst_n={res.worst_n} "
+              f"threshold={threshold} margin={res.margin} "
+              f"worst=(good={r},nice={s},class={a},touched={t}) "
               f"tuples={res.tuples_checked}")
         if not res.holds:
             failures += 1
@@ -231,6 +224,8 @@ def cmd_audit(args) -> int:
         else:
             mono = pick_mono_class(graph, matching)
         report = audit_state(graph, matching, mono, args.target)
+        rules = applicable_rules(graph, matching, report.delta, args.depth,
+                                 args.budget)
     else:
         target = args.target if args.target is not None else min_degree(graph)
         try:
@@ -239,9 +234,12 @@ def cmd_audit(args) -> int:
         except NotStuck as exc:
             print(f"not stuck: {exc}")
             return 0
+        # The engine stops without a budget note only once direct, mono,
+        # the exchange to this depth and vertex reduce all fail on its
+        # state, so no rule applies there.
+        rules = []
     payload = to_json(report)
-    payload["applicable_rules"] = applicable_rules(
-        graph, report.matching, report.delta, args.depth, args.budget)
+    payload["applicable_rules"] = rules
     if engine_res is not None:
         payload["engine"] = {
             "target": target,
@@ -364,10 +362,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return 1 if code == 2 else int(code)  # argparse usage errors exit 1 here
+        # argparse exits 0 after --help and 2 on a usage error, 1 here.
+        return 1 if exc.code == 2 else exc.code
     if getattr(args, "func", None) is None:
         parser.print_usage(sys.stderr)
         return 1

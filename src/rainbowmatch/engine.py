@@ -164,9 +164,7 @@ def rule_mono(graph: EdgeColoredGraph, matching: Matching) -> Matching | None:
         x, y, color = matched
         for free_edge in graph.edges:
             u, v, c = free_edge
-            if c != color or free_edge == matched:
-                continue
-            if u in used_v or v in used_v:
+            if c != color or u in used_v or v in used_v:
                 continue
             for z in (x, y):
                 for _wb, _cb, idx in graph.options[z]:

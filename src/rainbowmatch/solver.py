@@ -146,14 +146,10 @@ def _matching(graph: EdgeColoredGraph, chain) -> Matching:
     return Matching(picked)
 
 
-def max_rainbow_matching(graph: EdgeColoredGraph,
-                         node_budget: int | None = None) -> SolveResult:
-    """Maximum rainbow matching of a properly edge-coloured graph.
-
-    With a node budget the search may stop early; the result then carries
-    the incumbent with ``optimal=False``.
-    """
-    run = _search(graph, None, node_budget)
+def _result(graph: EdgeColoredGraph, run: _Run) -> SolveResult:
+    """The public record of a walk, optimal unless the budget stopped it.
+    A decide walk returns at its witness before any budget stop, so a
+    budget stop leaves it below its target."""
     return SolveResult(
         best=_matching(graph, run.best),
         size=run.size,
@@ -161,6 +157,16 @@ def max_rainbow_matching(graph: EdgeColoredGraph,
         nodes_explored=run.nodes,
         trace=tuple(run.events),
     )
+
+
+def max_rainbow_matching(graph: EdgeColoredGraph,
+                         node_budget: int | None = None) -> SolveResult:
+    """Maximum rainbow matching of a properly edge-coloured graph.
+
+    With a node budget the search may stop early; the result then carries
+    the incumbent with ``optimal=False``.
+    """
+    return _result(graph, _search(graph, None, node_budget))
 
 
 def rainbow_matching_at_least(graph: EdgeColoredGraph, k: int,
@@ -188,14 +194,7 @@ def solve_decision(graph: EdgeColoredGraph, k: int,
     """
     if k <= 0:
         return SolveResult(Matching(), 0, True, 0, ())
-    run = _search(graph, k, node_budget)
-    return SolveResult(
-        best=_matching(graph, run.best),
-        size=run.size,
-        optimal=run.size >= k or not run.budget_hit,
-        nodes_explored=run.nodes,
-        trace=tuple(run.events),
-    )
+    return _result(graph, _search(graph, k, node_budget))
 
 
 def count_rainbow_matchings(graph: EdgeColoredGraph, size: int,

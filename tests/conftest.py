@@ -186,6 +186,16 @@ def instances_csv(result) -> str:
     return records_to_csv(result.records, InstanceRecord)
 
 
+def with_good_nice_inclusion(payload: dict) -> dict:
+    """An audit report's JSON with the check that good edges are nice put
+    back at index 2 of its checks.  That check always held, with an empty
+    witness, and the audit pins were taken while reports carried it."""
+    payload["checks"].insert(2, {
+        "holds": True, "name": "good-nice-inclusion",
+        "note": "every good edge is nice by construction", "witness": []})
+    return payload
+
+
 # ---------------------------------------------------------------- fixtures
 
 @pytest.fixture(scope="session")

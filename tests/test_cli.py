@@ -22,7 +22,13 @@ from rainbowmatch import (
 from rainbowmatch.cli import build_parser, main
 from rainbowmatch.latin import cyclic_square
 
-from conftest import c4, k4_one_factorization, k33_cyclic, pendant_star
+from conftest import (
+    c4,
+    k4_one_factorization,
+    k33_cyclic,
+    pendant_star,
+    with_good_nice_inclusion,
+)
 
 
 @pytest.fixture
@@ -456,6 +462,13 @@ def test_no_command_prints_usage(capsys):
     assert main(["frobnicate"]) == 1
 
 
+def test_no_command_exits_1_with_usage_on_stderr(capsys):
+    assert main([]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: rainbowmatch ")
+
+
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert "solve" in capsys.readouterr().out
@@ -515,9 +528,14 @@ def test_cli_result_files_are_pinned(tmp_path, capsys, monkeypatch, k4_file,
     # command wrote, in name order.  The two "verify budget" digests were
     # retaken when a cell's inconclusive count became the records whose
     # theorem verdict is unknown: its proven noes no longer count there.
+    # The audit digests were taken while each report carried the
+    # always-true good-nice-inclusion check, which is put back first.
     def run(argv, code=0, out_dir=None):
         assert main(argv) == code
         text = capsys.readouterr().out
+        if argv[0] == "audit":
+            payload = with_good_nice_inclusion(json.loads(text))
+            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         if out_dir is not None:
             for path in sorted(Path(out_dir).iterdir()):
                 text += f"== {path.name}\n" + path.read_text()

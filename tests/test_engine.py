@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from rainbowmatch import (
     BudgetExceeded,
     Matching,
+    RuleStep,
     UnknownEdge,
+    audit_stuck_state,
     bound_n,
     build_graph,
     greedy_proper_coloring,
@@ -211,6 +213,32 @@ def test_vertex_reduce_fires_inside_an_engine_run():
     assert replay_trace(res.trace) == res.best
 
 
+def test_direct_fires_after_mono():
+    # Greedy takes 01; no edge is free for direct, mono trades 01 for 23
+    # of the same colour plus the pendant 04, and then 15 is free.
+    g = build_graph(6, [(0, 1, 1), (2, 3, 1), (0, 4, 2), (1, 5, 3)])
+    res = run_engine(g, 3)
+    assert [(s.rule, s.removed, s.added, s.note) for s in res.trace] == [
+        ("R-seed", (), ((0, 1, 1),), ""),
+        ("R-mono", ((0, 1, 1),), ((0, 4, 2), (2, 3, 1)), ""),
+        ("R-direct", (), ((1, 5, 3),), ""),
+    ]
+    assert res.best == Matching([(0, 4, 2), (1, 5, 3), (2, 3, 1)])
+
+
+def test_vertex_reduce_budget_becomes_a_trace_note():
+    # The graph of test_vertex_reduce_fires_inside_an_engine_run: at depth 0
+    # no exchange runs, and the decide call for size 1 needs 3 nodes.
+    g = build_graph(8, [(0, i, i) for i in range(1, 8)] + [(1, 2, 8)])
+    res = run_engine(g, 2, max_exchange_depth=0, node_budget=2)
+    assert res.size == 1
+    assert res.trace[-1] == RuleStep(
+        "R-vertex-reduce", (), (), "node budget 2 hit before deciding size 1")
+    with pytest.raises(BudgetExceeded):
+        audit_stuck_state(g, 2, 0, node_budget=2)
+    assert run_engine(g, 2, max_exchange_depth=0, node_budget=3).size == 2
+
+
 def test_negative_exchange_depth_raises():
     with pytest.raises(ValueError, match="exchange depth must be at least 0, got -1"):
         run_engine(k4_one_factorization(), 2, max_exchange_depth=-1)
@@ -283,6 +311,13 @@ def test_replay_rejects_corrupted_trace():
     if bad != steps:
         with pytest.raises(ValueError):
             replay_trace(bad)
+
+
+def test_replay_rejects_removing_an_absent_edge():
+    steps = [RuleStep("R-seed", (), ((0, 1, 1),)),
+             RuleStep("R-mono", ((2, 3, 1),), ((2, 3, 1), (0, 4, 2)))]
+    with pytest.raises(ValueError, match=r"trace removes absent edge \(2, 3, 1\)"):
+        replay_trace(steps)
 
 
 @settings(max_examples=60, deadline=None)

@@ -57,6 +57,27 @@ def test_parse_error_on_missing_header():
         parse_graph("e 0 1 1\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("g 3\ng 3\n", "line 2: repeated 'g' header"),
+    ("g 3 4\n", "line 1: expected 'g <n>'"),
+    ("g 3\ne 0 1 1\nx 0 1\n", "line 3: unknown record type 'x'"),
+    ("# no records\n", "missing 'g <n>' header"),
+], ids=["repeated-header", "malformed-header", "unknown-record",
+        "no-header"])
+def test_text_record_errors_name_their_line(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_graph(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("edges", [[[0, 1]], [[0, 1, 1, 2]], [{"u": 0}], "01"],
+                         ids=["pair", "quadruple", "object", "string"])
+def test_json_edges_must_be_triples(edges):
+    with pytest.raises(ParseError) as exc:
+        parse_graph(json.dumps({"n": 3, "edges": edges}))
+    assert str(exc.value) == "'edges' must be a list of [u, v, colour] triples"
+
+
 def test_parse_error_on_bad_json():
     with pytest.raises(ParseError):
         parse_graph("{not json")

@@ -103,6 +103,14 @@ def test_graph_to_latin_rejects_odd_cycle():
         graph_to_latin(g)
 
 
+def test_graph_to_latin_rejects_an_odd_cycle_on_an_even_order():
+    # Four vertices pass the even-order test; the triangle 012 fails the
+    # two-colouring.
+    g = build_graph(4, [(0, 1, 1), (1, 2, 2), (0, 2, 3), (2, 3, 1)])
+    with pytest.raises(NotCompleteBipartite, match="odd cycle"):
+        graph_to_latin(g)
+
+
 def test_graph_to_latin_rejects_wrong_colour_count():
     g = build_graph(4, [(0, 2, 1), (0, 3, 2), (1, 2, 2), (1, 3, 3)])
     with pytest.raises(WrongColourCount):

@@ -102,6 +102,27 @@ def test_at_least_raises_when_budget_blocks_resolution():
         rainbow_matching_at_least(k33_cyclic(), 3, node_budget=1)
 
 
+def test_a_budget_stop_leaves_a_decide_solve_below_its_target():
+    # A decide walk returns at its first witness, before any budget stop,
+    # so a decide result is optimal exactly when no budget stopped it, as
+    # a max result is.  k runs one past the optimum, so some walks exhaust.
+    stops = witnesses = exhausted = 0
+    for seed in range(30):
+        g = random_instance(seed)
+        for k in range(1, max_rainbow_matching(g).size + 2):
+            full = solve_decision(g, k).nodes_explored
+            for budget in range(full + 1):
+                res = solve_decision(g, k, budget)
+                if res.trace and res.trace[-1].event == "budget":
+                    assert res.size < k and not res.optimal
+                    stops += 1
+                else:
+                    assert res.optimal
+                    witnesses += res.size >= k
+                    exhausted += res.size < k
+    assert stops > 0 and witnesses > 0 and exhausted > 0
+
+
 def test_budget_respected():
     res = max_rainbow_matching(k33_cyclic(), node_budget=5)
     assert res.nodes_explored <= 5
