@@ -8,6 +8,8 @@ shared freely between concurrent workers.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .errors import DuplicateEdge, ImproperColoring, LoopEdge, UnknownEdge
 
 Edge = tuple[int, int, int]
@@ -27,6 +29,16 @@ class EdgeColoredGraph:
     several repeated pairs or colour clashes, the first one is reported; a
     clash at both endpoints names the earlier edge at the lower one.
 
+    There are two routes to the same result.  A list or tuple already in
+    canonical form (tuples of three ``int`` with ``0 <= u < v < n``, in
+    strictly increasing pair order, as dumps, the generators and
+    :meth:`without_vertex` give) is validated and indexed in one loop.  Any
+    other input, and canonical-looking input that breaks the form or the
+    colouring part-way, is normalised and sorted first and then indexed by
+    the same loop.  Canonical input is its own normalised, sorted form, so
+    both routes store the same edges and table; every fault goes to the
+    second route, so it is reported by the rules above.
+
     ``colors`` is the frozenset of colours used.  ``options`` is the one
     adjacency table, filled by the pass that validates: for each incident
     edge of a vertex, in increasing edge id, the other endpoint's bit
@@ -42,47 +54,27 @@ class EdgeColoredGraph:
             raise ValueError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        normalised: list[Edge] = []
-        for u, v, color in edges:
-            # ``type(x) is int``, not isinstance: bool is a subclass of int.
-            if type(u) is not int or type(v) is not int:
-                bad = v if type(u) is int else u
-                raise ValueError(f"vertex must be an integer, got {bad!r}")
-            if u == v:
-                raise LoopEdge(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
-            if type(color) is not int or color < 1:
-                raise ValueError(f"colour must be a positive integer, got {color!r}")
-            normalised.append((u, v, color) if u < v else (v, u, color))
-        normalised.sort()
-        colors = frozenset(e[2] for e in normalised)
-        colour_bit = {c: 1 << r for r, c in enumerate(sorted(colors))}
-        # One pass in sorted order checks each edge for a repeated pair (the
-        # copies of a pair are adjacent once sorted) and against the colour
-        # bits already seen at both of its endpoints.
-        vertex_bit = [1 << w for w in range(n)]
-        options: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        seen = [0] * n
-        prev_u = prev_v = -1
-        for idx, edge in enumerate(normalised):
-            u, v, color = edge
-            if u == prev_u and v == prev_v:
-                raise DuplicateEdge(f"vertex pair ({u}, {v}) appears more than once")
-            prev_u, prev_v = u, v
-            cb = colour_bit[color]
-            at_u = seen[u]
-            at_v = seen[v]
-            if (at_u | at_v) & cb:
-                at = u if at_u & cb else v
-                clash = next(i for _w, b, i in options[at] if b == cb)
-                raise ImproperColoring(normalised[clash], edge)
-            seen[u] = at_u | cb
-            seen[v] = at_v | cb
-            options[u].append((vertex_bit[v], cb, idx))
-            options[v].append((vertex_bit[u], cb, idx))
+        canonical = False
+        if type(edges) is list or type(edges) is tuple:
+            try:
+                colors = frozenset(map(itemgetter(2), edges))
+                ranks = sorted(colors)
+                positive = not ranks or ranks[0] >= 1
+            except (TypeError, LookupError):
+                # An edge with no third item, or colours that cannot be hashed
+                # or compared.
+                positive = False
+            if positive:
+                options, stop = _index(n, edges, ranks)
+                canonical = stop == len(edges)
+        if not canonical:
+            edges = _normalised(n, edges)
+            colors = frozenset(map(itemgetter(2), edges))
+            options, stop = _index(n, edges, sorted(colors))
+            if stop < len(edges):
+                raise _violation(edges, stop, options)
         self.n = n
-        self.edges: tuple[Edge, ...] = tuple(normalised)
+        self.edges: tuple[Edge, ...] = tuple(edges)
         self.options: tuple[tuple[tuple[int, int, int], ...], ...] = tuple(map(tuple, options))
         self.colors = colors
 
@@ -91,8 +83,9 @@ class EdgeColoredGraph:
 
     def has_edge(self, u: int, v: int, color: int | None = None) -> bool:
         if type(u) is type(v) is int and 0 <= u < self.n and 0 <= v < self.n:
+            bit = 1 << v
             for w, _cb, idx in self.options[u]:
-                if w == 1 << v:
+                if w == bit:
                     return color is None or self.edges[idx][2] == color
         return False
 
@@ -110,6 +103,77 @@ class EdgeColoredGraph:
 
     def __repr__(self) -> str:
         return f"EdgeColoredGraph(n={self.n}, m={len(self.edges)})"
+
+
+def _normalised(n: int, edges) -> list[Edge]:
+    """The edges with ``u < v``, sorted; a value that is not an ``int``, a
+    vertex out of range, a colour below 1 or a loop raises on the first edge
+    that has one, in input order."""
+    normalised: list[Edge] = []
+    for u, v, color in edges:
+        # ``type(x) is int``, not isinstance: bool is a subclass of int.
+        if type(u) is not int or type(v) is not int:
+            bad = v if type(u) is int else u
+            raise ValueError(f"vertex must be an integer, got {bad!r}")
+        if u == v:
+            raise LoopEdge(f"loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+        if type(color) is not int or color < 1:
+            raise ValueError(f"colour must be a positive integer, got {color!r}")
+        normalised.append((u, v, color) if u < v else (v, u, color))
+    normalised.sort()
+    return normalised
+
+
+def _index(n: int, edges, ranks: list[int]) -> tuple[list[list[tuple[int, int, int]]], int]:
+    """Option table of ``edges`` read as canonical, and how many it holds.
+
+    Canonical edges are tuples ``(u, v, colour)`` of ``int`` with
+    ``0 <= u < v < n``, in strictly increasing vertex-pair order, each colour
+    new at both endpoints; ``ranks`` is the sorted colour set, all at least 1.
+    The table stops before the first edge that breaks this form.  On sorted
+    ``_normalised`` edges only a repeated pair or a colour clash can stop it.
+    """
+    colour_bit = {c: 1 << r for r, c in enumerate(ranks)}
+    vertex_bit = [1 << w for w in range(n)]
+    options: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    seen = [0] * n
+    prev_u = prev_v = 0
+    for idx, edge in enumerate(edges):
+        if type(edge) is not tuple:
+            return options, idx
+        # A tuple that is not a triple raises here as it would in
+        # _normalised, which every edge before it passes.
+        u, v, color = edge
+        # The type test comes first: True and 1.0 hash equal to 1, so the
+        # colour lookup alone would take them for colour 1.
+        if not (type(u) is type(v) is type(color) is int and v < n
+                and (prev_v < v if u == prev_u else prev_u < u < v)):
+            return options, idx
+        cb = colour_bit[color]
+        at_u = seen[u]
+        at_v = seen[v]
+        if (at_u | at_v) & cb:
+            return options, idx
+        seen[u] = at_u | cb
+        seen[v] = at_v | cb
+        options[u].append((vertex_bit[v], cb, idx))
+        options[v].append((vertex_bit[u], cb, idx))
+        prev_u, prev_v = u, v
+    return options, len(edges)
+
+
+def _violation(edges: list[Edge], stop: int, options) -> DuplicateEdge | ImproperColoring:
+    """The fault that stopped :func:`_index` on sorted ``_normalised``
+    edges: a repeated pair, or else the earlier edge of the same colour at
+    the lower endpoint, then at the upper one."""
+    u, v, color = edge = edges[stop]
+    if edges[stop - 1][:2] == (u, v):
+        return DuplicateEdge(f"vertex pair ({u}, {v}) appears more than once")
+    for _w, _cb, i in options[u] + options[v]:
+        if edges[i][2] == color:
+            return ImproperColoring(edges[i], edge)
 
 
 def build_graph(n: int, edges) -> EdgeColoredGraph:

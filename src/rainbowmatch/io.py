@@ -12,6 +12,14 @@ JSON format: ``{"n": <int>, "edges": [[u, v, colour], ...]}``.
 Both emitters are canonical (edges sorted, fixed layout), so parse/dump
 round trips are byte-exact.
 
+A plain text file, a ``g`` line and then one ``e`` record per line with no
+comment, is read from a single whitespace split with each distinct field
+converted to ``int`` once.  Any other text, and any field ``int`` rejects,
+goes to the line-by-line reader.  The plain route checks that the split
+lines up with the lines, so both routes read the same records; the
+line-by-line reader is the only one that raises :class:`ParseError` for the
+text itself, so every message and line number comes from it.
+
 A result record is a dataclass.  :func:`to_json` turns one, or any value
 holding records, into plain JSON values; :func:`records_to_csv` writes a
 list of them as a table whose header is the dataclass's field order.
@@ -44,7 +52,50 @@ def parse_graph(text: str) -> EdgeColoredGraph:
         raise ParseError(str(exc)) from None
 
 
+class _Ints(dict):
+    """Token to ``int`` memo for one parse: each distinct token is
+    converted once."""
+
+    def __missing__(self, token: str) -> int:
+        value = self[token] = int(token)
+        return value
+
+
 def _parse_text(text: str) -> EdgeColoredGraph:
+    records = _plain_records(text)
+    if records is None:
+        return _parse_lines(text)
+    return build_graph(*records)
+
+
+def _plain_records(text: str) -> tuple[int, list[tuple[int, int, int]]] | None:
+    """``n`` and the edge triples of a plain text file, or None for any
+    other text.  Its token and line lists are gone before the graph is
+    built."""
+    tokens = text.split()
+    k, rest = divmod(len(tokens) - 2, 4)
+    lines = text.splitlines()
+    # Every line break is whitespace to split(), so the lines cut the tokens
+    # in order.  Say there are k + 1 lines, the first starts with a 'g' field,
+    # the k others with an 'e' field (each '\n' of the join starts one of
+    # them: no line holds a '\n'), and int() takes token 1 and every token in
+    # tokens[3::4], [4::4] and [5::4].  Then the k 'e' starts can only be the
+    # k tokens at 2, 6, 10, ...: the header is tokens[0:2] and each other
+    # line one whole record, as the line reader takes them.  A '#' could only
+    # sit in a token that int() rejects.
+    if (rest or len(lines) != k + 1 or not text.startswith("g ")
+            or "\n".join(lines).count("\ne ") != k):
+        return None
+    field = _Ints().__getitem__
+    try:
+        return int(tokens[1]), list(zip(map(field, tokens[3::4]),
+                                        map(field, tokens[4::4]),
+                                        map(field, tokens[5::4])))
+    except ValueError:
+        return None
+
+
+def _parse_lines(text: str) -> EdgeColoredGraph:
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from rainbowmatch import (
     max_degree,
     min_degree,
 )
+from rainbowmatch import graphs
 
 from conftest import c4, k33_cyclic, k4_one_factorization, two_edge_path
 
@@ -110,12 +112,38 @@ def test_edges_normalised_lower_vertex_first():
     # endpoint is named, though (0, 3, 1) sorts before it.
     ([(2, 3, 1), (0, 3, 1), (1, 2, 1)], ImproperColoring,
      "edges (1, 2, 1) and (2, 3, 1) share a vertex and colour 1"),
+    # In canonical order, an early clash or repeated pair does not hide a
+    # later value that is not an int: values are checked first.
+    ([(0, 1, 1), (0, 2, 1), (3, 4, True)], ValueError,
+     "colour must be a positive integer, got True"),
+    ([(0, 1, 1), (0, 1, 2), (2, 3.0, 1)], ValueError,
+     "vertex must be an integer, got 3.0"),
+    ([(0, 1, 1), (0, 2, 2), (False, 3, 3)], ValueError,
+     "vertex must be an integer, got False"),
+    # True and 1.0 hash equal to colour 1, yet are named.
+    ([(0, 1, 1), (2, 3, True)], ValueError,
+     "colour must be a positive integer, got True"),
+    ([(0, 1, 1.0), (2, 3, 1)], ValueError,
+     "colour must be a positive integer, got 1.0"),
+    # Canonical but for (0, 1, 2) out of order: the clash is named in sorted
+    # order, not in the order the input reached it.
+    ([(0, 2, 1), (1, 2, 2), (0, 1, 2)], ImproperColoring,
+     "edges (0, 1, 2) and (1, 2, 2) share a vertex and colour 2"),
 ])
 def test_first_violation_in_sorted_order_is_reported(edges, error, message):
     with pytest.raises(Exception) as exc:
         build_graph(5, edges)
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+def test_input_canonical_but_for_one_pair_is_sorted_and_indexed():
+    canonical = [(0, 1, 1), (0, 2, 2), (1, 3, 2), (2, 3, 1), (3, 4, 3)]
+    swapped = canonical[:]
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    g, h = build_graph(5, canonical), build_graph(5, swapped)
+    assert h.edges == tuple(canonical)
+    assert h.options == g.options and h.colors == g.colors
 
 
 def test_edgeless_graph_degrees_are_zero():
@@ -255,6 +283,66 @@ def proper_graphs(draw, max_n=8, max_m=14):
 def test_every_color_class_is_vertex_disjoint(g):
     for edges in color_classes(g).values():
         assert Matching(edges).is_vertex_disjoint()
+
+
+def outcome(build):
+    """The graph ``build()`` returns, or the type and message it raises."""
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def faulty_edge_lists(draw):
+    """Canonical edge lists of proper graphs, some broken: a pair swapped,
+    reversed or repeated, a colour reused at a neighbour, a value that is
+    not an int or out of range, an edge given as a list."""
+    g = draw(proper_graphs())
+    edges = [list(e) for e in g.edges]
+    listed = set()
+    for _ in range(draw(st.integers(0, 2)) if edges else 0):
+        i = draw(st.integers(0, len(edges) - 1))
+        j = draw(st.integers(0, len(edges) - 1))
+        kind = draw(st.sampled_from(
+            ["swap", "reverse", "repeat", "recolour", "value", "list"]))
+        if kind == "list":
+            listed.add(i)
+        elif kind == "swap":
+            edges[i], edges[j] = edges[j], edges[i]
+        elif kind == "reverse":
+            edges[i][:2] = edges[i][1::-1]
+        elif kind == "repeat":
+            edges.insert(j, [*edges[i][:2], edges[j][2]])
+        elif kind == "recolour":
+            edges[i][2] = edges[j][2]
+        else:
+            edges[i][draw(st.integers(0, 2))] = draw(st.sampled_from(
+                [True, False, 1.0, 2.5, -1, 0, g.n, g.n + 3]))
+    return g.n, [e if i in listed else tuple(e) for i, e in enumerate(edges)]
+
+
+@settings(max_examples=300)
+@given(faulty_edge_lists())
+def test_canonical_route_agrees_with_the_sorting_route(case):
+    # A list may take the one-pass route; an iterator always goes through
+    # normalising and sorting.  Both must build the same graph, or raise
+    # the same error with the same message.
+    n, edges = case
+    built = outcome(lambda: build_graph(n, edges))
+    reference = outcome(lambda: build_graph(n, iter(edges)))
+    assert built == reference
+    if isinstance(built, EdgeColoredGraph):
+        assert built.options == reference.options
+        assert built.colors == reference.colors
+
+
+@settings(max_examples=100)
+@given(proper_graphs())
+def test_canonical_edges_skip_normalising(g):
+    with mock.patch.object(graphs, "_normalised", side_effect=AssertionError):
+        assert build_graph(g.n, list(g.edges)) == g
+        assert build_graph(g.n, g.edges).options == g.options
 
 
 @settings(max_examples=100)

@@ -1,12 +1,15 @@
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowmatch import ParseError, dump_graph, dumps_graph, load_graph, parse_graph
+from rainbowmatch import io as rio
 
 from conftest import k4_one_factorization
-from test_graphs import proper_graphs
+from test_graphs import outcome, proper_graphs
 
 
 def test_parse_text_with_comments_and_blank_lines():
@@ -129,3 +132,56 @@ def test_file_round_trip(tmp_path):
 def test_round_trip_any_graph_both_formats(g):
     assert parse_graph(dumps_graph(g)) == g
     assert parse_graph(dumps_graph(g, fmt="json")) == g
+
+
+MUTATIONS = ("comment", "blank", "indent", "join", "split", "plus", "zero",
+             "repeat")
+
+
+@st.composite
+def mutated_dumps(draw):
+    """Text dumps of proper graphs with comment and blank lines, indents,
+    two records on one line, a record split over two lines, '+3' and '03'
+    fields and repeated records, each line ended by LF, CRLF or form feed."""
+    lines = dumps_graph(draw(proper_graphs())).splitlines()
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split(" ")
+        if kind == "comment":
+            lines.insert(i, "# note")
+        elif kind == "blank":
+            lines.insert(i, "")
+        elif kind == "indent":
+            lines[i] = "  " + lines[i]
+        elif kind == "join" and i + 1 < len(lines):
+            lines[i:i + 2] = [lines[i] + " " + lines[i + 1]]
+        elif kind == "split" and len(fields) > 1:
+            lines[i:i + 1] = [" ".join(fields[:-1]), fields[-1]]
+        elif kind in ("plus", "zero") and len(fields) > 1:
+            j = draw(st.integers(1, len(fields) - 1))
+            fields[j] = ("+" if kind == "plus" else "0") + fields[j]
+            lines[i] = " ".join(fields)
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\x0c"]),
+                         min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=300)
+@given(mutated_dumps())
+def test_plain_route_agrees_with_the_line_reader(text):
+    # The line reader alone is the reference: same graph, or same error
+    # type and message.
+    parsed = outcome(lambda: parse_graph(text))
+    with mock.patch.object(rio, "_parse_text", rio._parse_lines):
+        reference = outcome(lambda: parse_graph(text))
+    assert parsed == reference
+
+
+@settings(max_examples=100)
+@given(proper_graphs(), st.sampled_from(["\n", "\r\n"]))
+def test_plain_dumps_skip_the_line_reader(g, end):
+    text = dumps_graph(g).replace("\n", end)
+    with mock.patch.object(rio, "_parse_lines", side_effect=AssertionError):
+        assert parse_graph(text) == g
