@@ -28,9 +28,11 @@ the order of its twelve checks:
   nice-edge cap, the mono colour multiplicity, the order inequality and
   the pair-count slack.
 
-``certify_counting_bound`` shows that the same inequalities force the host
-order below the rainbow-matching threshold of
-:func:`rainbowmatch.graphs.bound_n` for every admissible count tuple.  At
+The right-hand side of the order inequality is written once, in
+``_doubled_order_bound`` (at twice its scale, so that every value is an
+integer).  ``certify_counting_bound`` maximises that same function over
+every admissible count tuple and shows that it keeps the host order below
+the rainbow-matching threshold of :func:`rainbowmatch.graphs.bound_n`.  At
 a fixed good-pair count and class size each nice pair strictly lowers the
 order bound, so only tuples without one are evaluated; for a fixed
 good-pair count the bound is linear and then concave-quadratic in the
@@ -52,11 +54,12 @@ from .engine import (
     rule_vertex_reduce,
     run_engine,
 )
-from .errors import BudgetExceeded, InvalidState, NotStuck, UnknownEdge
+from .errors import BudgetExceeded, InvalidState, NotStuck
 from .graphs import (
     Edge,
     EdgeColoredGraph,
     Matching,
+    _require_edges,
     color_classes,
     is_rainbow_matching,
     max_degree,
@@ -189,9 +192,7 @@ def audit_state(graph: EdgeColoredGraph, matching: Matching, mono: Matching,
             raise InvalidState("the monochromatic colour must be unused by the matching")
         if not mono.is_vertex_disjoint():
             raise InvalidState("the monochromatic edge set must be a matching")
-        for u, v, c in mono.edges:
-            if not graph.has_edge(u, v, c):
-                raise UnknownEdge(f"edge ({u}, {v}, {c}) is not in the graph")
+        _require_edges(graph, mono.edges)
 
     n = graph.n
     covered = matching.vertices
@@ -287,9 +288,7 @@ def audit_state(graph: EdgeColoredGraph, matching: Matching, mono: Matching,
     check("mono-color-multiplicity", not bad, bad,
           note="a mono-touched pair colour fits at most one edge inside the uncovered set")
     lhs = delta * n
-    rhs = ((3 * delta - 10 - r) * r - (a - 2) * t
-           + 2 * (delta + 3) * (delta - 1)
-           + (a - 1) * (2 * delta - 2 - 2 * r - s))
+    rhs = _doubled_order_bound(delta, r, s, a, 2 * t) // 2
     check("order-inequality", lhs <= rhs,
           note=f"delta*n = {lhs} vs structural bound {rhs}")
     check("pair-count-slack", 5 * r + 3 * s < 2 * (delta + 1),
@@ -385,9 +384,14 @@ class CertResult:
     forms_agree = True
 
 
-def const_printed(delta: int, r: int) -> int:
-    """The a-free part C of the order bound, in its printed closed form."""
-    return (3 * delta - 10 - r) * r + 2 * (delta + 3) * (delta - 1)
+def _doubled_order_bound(delta: int, r: int, s: int, a: int, t2: int) -> int:
+    """Twice the right-hand side of the order inequality at good-pair count
+    r, nice-pair count s, class size a and twice the touched count t2:
+    2C + 2(a-1)B - (a-2)*t2, with C = (3*delta - 10 - r)*r
+    + 2*(delta + 3)*(delta - 1) and B = 2*delta - 2 - 2r - s.  It is even
+    when t2 is."""
+    return (2 * (3 * delta - 10 - r) * r + 4 * (delta + 3) * (delta - 1)
+            + 2 * (a - 1) * (2 * delta - 2 - 2 * r - s) - (a - 2) * t2)
 
 
 def _best_at(delta: int, r: int) -> tuple[int, int, int] | None:
@@ -412,13 +416,12 @@ def _best_at(delta: int, r: int) -> tuple[int, int, int] | None:
             candidates = quad
         else:
             candidates = (2 if b == 0 else flat_end,) + quad
-    const = const_printed(delta, r)
     best = None
     for a in candidates:
         t2 = 2 * (a - delta + 1) - r
         if t2 < 0:
             t2 = 0
-        val = 2 * const + 2 * (a - 1) * b - (a - 2) * t2
+        val = _doubled_order_bound(delta, r, 0, a, t2)
         if best is None or val > best[0]:
             best = (val, a, t2)
     return best
@@ -426,13 +429,12 @@ def _best_at(delta: int, r: int) -> tuple[int, int, int] | None:
 
 def _relaxation(delta: int, r: int) -> int:
     """8 * U(r): eight times the largest doubled bound at good-pair count r
-    and s = 0 over real class sizes a from the activation point of t on."""
-    c = const_printed(delta, r)
-    b = 2 * delta - 2 - 2 * r
+    and s = 0 over real class sizes a from the activation point of t on,
+    as the closed forms A(r) up to the split 5r = 2*delta + 2 and B(r)
+    past it (see :func:`certify_counting_bound`)."""
     if 5 * r <= 2 * delta + 2:   # the apex is at or past the activation point
-        k = 2 * delta - 2 + r
-        return 16 * (c - b - k) + (2 * b + k + 4) ** 2
-    return 8 * (2 * c + (2 * delta - 4 + r) * b)
+        return -7 * r * r + (12 * delta - 132) * r + 68 * delta * delta - 24 * delta - 28
+    return -32 * r * r + (32 * delta - 112) * r + 64 * delta * delta - 32 * delta - 32
 
 
 def _tuple_count(delta: int) -> int:
@@ -456,8 +458,10 @@ def certify_counting_bound(delta: int) -> CertResult:
     With p = r + s and B = 2*delta - 2 - 2r - s (not negative, as
     p <= delta - 1), the admissible sizes are
     2 <= a <= hi(p) = (4*delta - 4 - p) // 2, and on them the doubled
-    bound is 2*C + 2*(a-1)*B - (a-2)*2t with C = C(delta, r).  No
-    admissible class size exceeds 2*delta - 2, so no cap is needed.
+    bound is :func:`_doubled_order_bound`, 2*C + 2*(a-1)*B - (a-2)*2t
+    with C = C(delta, r): the one formula that :func:`audit_state` halves
+    for its ``order-inequality`` check.  No admissible class size exceeds
+    2*delta - 2, so no cap is needed.
 
     The nice-pair count drops out.  Fix r and an admissible a, and raise s
     by one: p rises by one, so hi can only shrink (no new a is admitted),
@@ -499,7 +503,8 @@ def certify_counting_bound(delta: int) -> CertResult:
     up to it A(r) = -7r^2 + (12*delta - 132)r + 68*delta^2 - 24*delta - 28,
     with apex (6*delta - 66)/7, and past it
     B(r) = -32r^2 + (32*delta - 112)r + 64*delta^2 - 32*delta - 32, with
-    apex (2*delta - 7)/4.  A's apex lies on A's piece exactly when
+    apex (2*delta - 7)/4; :func:`_relaxation` evaluates these two
+    polynomials.  A's apex lies on A's piece exactly when
     delta <= 21, and B's on B's piece exactly when delta >= 22, so that
     apex is U's peak.  The per-r maximisation runs at its floor, clipped
     to 0..delta-1, then outward in each direction while U(r) is at least
@@ -548,11 +553,12 @@ def _certify_from(delta: int, start: int) -> CertResult:
             r += step
     assert best is not None
     best_val, neg_r, a, t2 = best
+    threshold = delta * (9 * delta - 5)   # (9*delta - 5) / 2 at the scale 2*delta
     return CertResult(
         delta=delta,
-        holds=best_val < delta * (9 * delta - 5),
+        holds=best_val < threshold,
         worst_tuple=(-neg_r, 0, a, Fraction(t2, 2)),
         worst_n=Fraction(best_val, 2 * delta),
-        margin=Fraction(delta * (9 * delta - 5) - best_val, 2 * delta),
+        margin=Fraction(threshold - best_val, 2 * delta),
         tuples_checked=_tuple_count(delta),
     )

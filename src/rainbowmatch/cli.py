@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .auditor import (
@@ -161,9 +160,8 @@ def cmd_certify(args) -> int:
         res = certify_counting_bound(delta)
         r, s, a, t = res.worst_tuple
         status = "holds" if res.holds else "FAILS"
-        threshold = Fraction(9 * delta - 5, 2)
         print(f"delta={delta} {status} worst_n={res.worst_n} "
-              f"threshold={threshold} margin={res.margin} "
+              f"threshold={res.worst_n + res.margin} margin={res.margin} "
               f"worst=(good={r},nice={s},class={a},touched={t}) "
               f"tuples={res.tuples_checked}")
         if not res.holds:

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import BudgetExceeded, UnknownEdge
-from .graphs import Edge, EdgeColoredGraph, Matching
+from .errors import BudgetExceeded
+from .graphs import Edge, EdgeColoredGraph, Matching, _require_edges
 from .solver import SolveResult, _matching, _search, rainbow_matching_at_least
 
 RULE_SEED = "R-seed"
@@ -77,10 +77,9 @@ def greedy_rainbow(graph: EdgeColoredGraph) -> Matching:
 def _matched_bits(graph, matching):
     """Each matched edge's two vertex bits and colour bit, off the option
     table.  A matched edge absent from the graph raises :class:`UnknownEdge`."""
+    _require_edges(graph, matching.edges)
     bits = []
-    for u, v, c in matching.edges:
-        if not graph.has_edge(u, v, c):
-            raise UnknownEdge(f"edge ({u}, {v}, {c}) is not in the graph")
+    for u, v, _c in matching.edges:
         bits.extend(((1 << u) | vb, cb) for vb, cb, _idx in graph.options[u]
                     if vb == 1 << v)
     return bits

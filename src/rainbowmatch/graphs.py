@@ -82,11 +82,15 @@ class EdgeColoredGraph:
         return len(self.options[v])
 
     def has_edge(self, u: int, v: int, color: int | None = None) -> bool:
+        """Whether u and v are adjacent, by an edge of ``color`` when one is
+        given.  Vertices and colour must be ``int`` exactly: 1.0 and True
+        equal 1 but name no vertex or colour."""
         if type(u) is type(v) is int and 0 <= u < self.n and 0 <= v < self.n:
             bit = 1 << v
             for w, _cb, idx in self.options[u]:
                 if w == bit:
-                    return color is None or self.edges[idx][2] == color
+                    return color is None or (type(color) is int
+                                             and self.edges[idx][2] == color)
         return False
 
     def without_vertex(self, v: int) -> "EdgeColoredGraph":
@@ -256,10 +260,16 @@ def is_rainbow_matching(graph: EdgeColoredGraph, matching: Matching) -> bool:
     otherwise :class:`UnknownEdge` is raised.  The empty matching is a
     rainbow matching.
     """
-    for u, v, c in matching.edges:
+    _require_edges(graph, matching.edges)
+    return matching.is_vertex_disjoint() and matching.has_distinct_colors()
+
+
+def _require_edges(graph: EdgeColoredGraph, edges) -> None:
+    """Raise :class:`UnknownEdge` on the first of ``edges`` that is not in
+    the graph with its colour (see :meth:`EdgeColoredGraph.has_edge`)."""
+    for u, v, c in edges:
         if not graph.has_edge(u, v, c):
             raise UnknownEdge(f"edge ({u}, {v}, {c}) is not in the graph")
-    return matching.is_vertex_disjoint() and matching.has_distinct_colors()
 
 
 def bound_n(delta: int) -> int:

@@ -48,21 +48,6 @@ class LatinSquare:
         self.n = n
         self.cells = rows
 
-    @classmethod
-    def from_rows(cls, rows) -> "LatinSquare":
-        """Build from rows over an arbitrary symbol alphabet.
-
-        Symbols are normalised to 1..n, by sorted order when the alphabet
-        is orderable and by string representation otherwise.
-        """
-        symbols = {x for row in rows for x in row}
-        try:
-            ordered = sorted(symbols)
-        except TypeError:
-            ordered = sorted(symbols, key=repr)
-        remap = {sym: i + 1 for i, sym in enumerate(ordered)}
-        return cls([[remap[x] for x in row] for row in rows])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatinSquare):
             return NotImplemented

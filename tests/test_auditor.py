@@ -33,9 +33,9 @@ from rainbowmatch import auditor
 from rainbowmatch.auditor import (
     _best_at,
     _certify_from,
+    _doubled_order_bound,
     _relaxation,
     _tuple_count,
-    const_printed,
 )
 
 from conftest import (
@@ -250,8 +250,11 @@ def test_mono_with_two_colours_rejected():
 def test_mono_foreign_edge_rejected():
     g = k4_one_factorization()
     matching = Matching([(0, 1, 1)])
-    with pytest.raises(UnknownEdge):
-        audit_state(g, matching, Matching([(0, 3, 9)]))
+    # The second edge is in the graph with the colour 2, which 2.0 equals
+    # but is not.
+    for edge in [(0, 3, 9), (0, 2, 2.0)]:
+        with pytest.raises(UnknownEdge):
+            audit_state(g, matching, Matching([edge]))
 
 
 def test_empty_mono_allowed():
@@ -451,6 +454,44 @@ def test_good_edges_are_nice_and_pair_kinds_fit_in_the_matching():
             + report.mono_touched_count <= report.delta - 1
 
 
+def seeded_stuck_reports():
+    """Audits of the states where the engine, at exchange depth 0, stalls
+    short of d on seeded graphs with d = 3..8 and n = 2d..2d + 2."""
+    for d in range(3, 9):
+        for n in range(2 * d, 2 * d + 3):
+            for seed in range(150):
+                g = greedy_proper_coloring(random_graph_min_degree(n, d, seed), seed)
+                try:
+                    report, _ = audit_stuck_state(g, d, 0)
+                except NotStuck:
+                    continue
+                yield report
+
+
+def test_audited_tuples_lie_under_the_certified_maximum():
+    # The chain from a stuck state to the threshold.  A state with a class
+    # of at least two edges that passes touched-count-bounds gives counts
+    # (r, s, a, t) in the certificate's domain, and the audit's
+    # order-inequality bound is at most the certificate's maximum: the
+    # certificate takes the least touched count, and the bound falls as t
+    # rises when a >= 2.
+    reports = [audit_state(g, m, mono) for g, m, mono in audit_corpus()]
+    reports += seeded_stuck_reports()
+    checked = 0
+    for report in reports:
+        if report.max_class_size < 2 or not report.check("touched-count-bounds").holds:
+            continue
+        d, a = report.delta, report.max_class_size
+        r, s, t = (report.good_pair_count, report.nice_pair_count,
+                   report.mono_touched_count)
+        assert r + s + t <= d - 1 and a <= 2 * d - 2, (d, r, s, a, t)
+        rhs = int(report.check("order-inequality").note.rsplit(" ", 1)[1])
+        assert 2 * rhs <= 2 * d * certify_counting_bound(d).worst_n, (d, r, s, a, t)
+        checked += 1
+    # 78 corpus states and 551 engine-stuck ones.
+    assert checked >= 600, checked
+
+
 def test_mono_class_listing_one_edge_twice_is_refused():
     # Matching keeps duplicates, so the vertex-disjointness check is the
     # only guard against a class that lists one graph edge twice.
@@ -557,6 +598,12 @@ def test_certify_matches_oracle():
     for delta in range(2, 13):
         assert certify_counting_bound(delta) == oracle_cert_result(delta), \
             f"delta={delta}"
+
+
+def const_printed(delta, r):
+    """The a-free part C of the order bound in its printed closed form, kept
+    here so that the oracles below do not read the package's formula."""
+    return (3 * delta - 10 - r) * r + 2 * (delta + 3) * (delta - 1)
 
 
 def oracle_sweep(delta):
@@ -700,32 +747,35 @@ def test_relaxation_is_a_concave_upper_bound():
         assert _tuple_count(delta) == count, f"delta={delta}"
 
 
-def relaxation_a(delta, r):
-    """8 * U(r) up to the split 5r = 2*delta + 2; apex (6*delta - 66)/7."""
-    return -7 * r * r + (12 * delta - 132) * r + 68 * delta * delta - 24 * delta - 28
-
-
-def relaxation_b(delta, r):
-    """8 * U(r) past the split; apex (2*delta - 7)/4."""
-    return -32 * r * r + (32 * delta - 112) * r + 64 * delta * delta - 32 * delta - 32
+def relaxation_from_c_and_b(delta, r):
+    """8 * U(r) derived from C and B.  With K = 2*delta - 2 + r, up to the
+    split 5r = 2*delta + 2 the apex of q lies past K/2 and
+    8U = 16C - 16B - 16K + (2B + K + 4)^2; past it U = q(r, K/2)."""
+    c = const_printed(delta, r)
+    b = 2 * delta - 2 - 2 * r
+    if 5 * r <= 2 * delta + 2:
+        k = 2 * delta - 2 + r
+        return 16 * (c - b - k) + (2 * b + k + 4) ** 2
+    return 8 * (2 * c + (2 * delta - 4 + r) * b)
 
 
 def test_relaxation_closed_forms():
-    # Each piece of _relaxation and its closed form have degree <= 2 in
-    # delta and in r, so agreeing on a 3x3 grid inside the piece proves
-    # the identity; every r at delta = 2..399 pins the split.
+    # Each piece of _relaxation's closed forms and of the derivation from
+    # C and B has degree <= 2 in delta and in r, so agreeing on a 3x3 grid
+    # inside the piece proves the identity; every r at delta = 2..399 pins
+    # the split.
     for delta in (20, 30, 40):
         for r in (0, 1, 2):
             assert 5 * r <= 2 * delta + 2
-            assert _relaxation(delta, r) == relaxation_a(delta, r)
+            assert _relaxation(delta, r) == relaxation_from_c_and_b(delta, r)
     for delta in (30, 40, 50):
         for r in (25, 26, 27):
             assert 5 * r > 2 * delta + 2
-            assert _relaxation(delta, r) == relaxation_b(delta, r)
+            assert _relaxation(delta, r) == relaxation_from_c_and_b(delta, r)
     for delta in range(2, 400):
         for r in range(delta):
-            form = relaxation_a if 5 * r <= 2 * delta + 2 else relaxation_b
-            assert _relaxation(delta, r) == form(delta, r), f"delta={delta} r={r}"
+            assert _relaxation(delta, r) == relaxation_from_c_and_b(delta, r), \
+                f"delta={delta} r={r}"
 
 
 def test_certify_walk_is_sound_from_every_start():
@@ -797,7 +847,7 @@ def doubled_bound(delta, r, s, a):
     t2 = max(0, 2 * (a - delta + 1) - (r + s))
     if 2 * (r + s) + t2 > 2 * (delta - 1):
         return None
-    return (2 * ((3 * delta - 10 - r) * r + 2 * (delta + 3) * (delta - 1))
+    return (2 * const_printed(delta, r)
             + 2 * (a - 1) * (2 * delta - 2 - 2 * r - s) - (a - 2) * t2)
 
 
@@ -833,12 +883,19 @@ def const_counts(delta, r, s):
 
 
 def test_constant_forms_agree_on_a_grid():
-    # Both forms have degree <= 2 in each of delta, r and s, so agreement
-    # on three distinct values per variable proves the identity.
+    # The package's one order bound against the same bound built on C from
+    # the nice-edge count.  Both have degree <= 2 in each of delta, r, s, a
+    # and t2, so agreement on three distinct values per variable proves the
+    # identity.
     for delta in (2, 7, 50):
         for r in (0, 1, 5):
             for s in (0, 3, 9):
-                assert const_printed(delta, r) == const_counts(delta, r, s)
+                b = 2 * delta - 2 - 2 * r - s
+                for a in (0, 2, 11):
+                    for t2 in (0, 1, 6):
+                        assert _doubled_order_bound(delta, r, s, a, t2) == (
+                            2 * const_counts(delta, r, s) + 2 * (a - 1) * b
+                            - (a - 2) * t2)
 
 
 def test_certify_delta_two_exactly():

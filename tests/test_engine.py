@@ -97,8 +97,10 @@ def test_exchange_rejects_a_matched_edge_absent_from_the_graph():
             rule_exchange(g, Matching([edge]))
     # Direct and mono share the exchange's membership check: without it,
     # each would grow a matching built on an edge the graph lacks.
-    with pytest.raises(UnknownEdge):
-        rule_direct(g, Matching([(0, 3, 1)]))
+    # A colour that only equals the edge's colour names no edge either.
+    for edge in [(0, 3, 1), (0, 1, 1.0), (0, 1, True)]:
+        with pytest.raises(UnknownEdge):
+            rule_direct(g, Matching([edge]))
     g = build_graph(6, [(0, 1, 1), (2, 3, 1), (0, 4, 2), (3, 5, 7)])
     with pytest.raises(UnknownEdge):
         rule_mono(g, Matching([(0, 5, 1)]))

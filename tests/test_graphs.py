@@ -196,9 +196,13 @@ def test_empty_matching_is_rainbow():
 
 def test_unknown_edge_raises():
     # A chord, endpoints outside 0..n-1 (a negative one must not wrap round
-    # to the last vertex's adjacency), and a vertex that is not an int.
-    for u, v, c in [(0, 2, 9), (-1, 0, 1), (0, 9, 1), (1.0, 2, 2)]:
-        assert not c4().has_edge(u, v, c) and not c4().has_edge(u, v)
+    # to the last vertex's adjacency), a vertex that is not an int, and a
+    # colour that is not exactly an int: 1.0 and True equal the colour 1 of
+    # the edge (0, 1) but are not colours.
+    for u, v, c in [(0, 2, 9), (-1, 0, 1), (0, 9, 1), (1.0, 2, 2),
+                    (0, 1, 1.0), (0, 1, True)]:
+        assert not c4().has_edge(u, v, c)
+        assert not c4().has_edge(u, v) or (u, v) == (0, 1)
         with pytest.raises(UnknownEdge):
             is_rainbow_matching(c4(), Matching([(u, v, c)]))
 
