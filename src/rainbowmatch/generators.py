@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import ceil, log
 
 from .errors import InfeasibleDegree, OrderTooLarge
-from .graphs import EdgeColoredGraph, build_graph
+from .graphs import EdgeColoredGraph, _from_colour_bits, build_graph
 from .latin import LatinSquare
 
 
@@ -125,23 +125,28 @@ def greedy_proper_coloring(graph: SimpleGraph, seed: int) -> EdgeColoredGraph:
     Each edge sees at most 2*(max degree - 1) occupied colours, so the
     palette never exceeds 2*max_degree - 1.  Colour c is bit c - 1 of a
     per-vertex mask, and the least free colour is the lowest clear bit of
-    the union of the two endpoints' masks.  Vertices are not checked here:
-    :func:`build_graph` rejects an edge outside 0..n-1.
+    the union of the two endpoints' masks.  That bit is the colour's rank
+    bit, and the colouring is proper by construction, so the graph is built
+    from the bits in one pass with no second properness test
+    (:func:`graphs._from_colour_bits`).  That pass checks the vertices:
+    unless the pairs are ``int`` pairs ``u < v < n`` in strictly increasing
+    order, the coloured edges go to the validating constructor, which
+    normalises them or raises.
     """
     rng = random.Random(seed)
     edges = graph.edges
     order = list(range(len(edges)))
     _shuffle(rng, order)
     at_vertex: defaultdict[int, int] = defaultdict(int)
-    colors = [0] * len(edges)
+    bits = [0] * len(edges)
     for idx in order:
         u, v = edges[idx]
         used = at_vertex[u] | at_vertex[v]
         bit = ~used & (used + 1)
-        colors[idx] = bit.bit_length()
+        bits[idx] = bit
         at_vertex[u] |= bit
         at_vertex[v] |= bit
-    return build_graph(graph.n, [(u, v, c) for (u, v), c in zip(edges, colors)])
+    return _from_colour_bits(graph.n, edges, bits)
 
 
 def one_factorization(k: int) -> EdgeColoredGraph:

@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 
 from rainbowmatch import (
     CampaignConfig,
+    DuplicateEdge,
+    EdgeColoredGraph,
     InfeasibleDegree,
+    LoopEdge,
     OrderTooLarge,
+    bound_n,
     color_classes,
     greedy_proper_coloring,
     min_degree,
@@ -193,6 +197,60 @@ def test_small_campaign_files_are_pinned():
         "ac37be6bbfb90980d67f4da2b652cca370495d6aa187f3239c46a4920b09a8e9",
         "ce6eac545ec6eceb6f512d75066ee6324b12805574a84d4338fe3cf52688c3fd",
     ]
+
+
+def test_colouring_route_matches_the_validating_constructor():
+    # The colouring builds its graph from its own colour bits with no
+    # properness test; the validating constructor must store the same graph.
+    cases = 0
+    for delta in range(2, 9):
+        for n in range(2 * delta + 1, bound_n(delta) + 4):
+            for prob in (0.0, 0.3):
+                for seed in (0, 1, 2 + n):
+                    base = random_graph_min_degree(n, delta, seed, extra_edge_prob=prob)
+                    g = greedy_proper_coloring(base, seed)
+                    rebuilt = EdgeColoredGraph(g.n, list(g.edges))
+                    case = (delta, n, prob, seed)
+                    assert g.edges == rebuilt.edges, case
+                    assert g.options == rebuilt.options, case
+                    assert g.colors == rebuilt.colors, case
+                    assert independent_is_proper(g.n, g.edges), case
+                    cases += 1
+    assert cases == 558
+
+
+# What the colouring returned or raised before it built its graph from its
+# own colour bits: every input its fast pass turns down reaches the
+# validating constructor, which normalises it or names the same fault.
+# test_greedy_coloring_rejects_bad_vertices pins a single bad vertex.
+@pytest.mark.parametrize("n, pairs, edges", [
+    (4, ((2, 3), (0, 1), (1, 2)), ((0, 1, 1), (1, 2, 2), (2, 3, 1))),
+    (3, ((1, 0),), ((0, 1, 1),)),
+    (4, ((0, 1), (3, 2)), ((0, 1, 1), (2, 3, 1))),
+])
+def test_colouring_normalises_like_the_constructor(n, pairs, edges):
+    g = greedy_proper_coloring(SimpleGraph(n, pairs), 0)
+    assert g.edges == edges
+    assert g.options == EdgeColoredGraph(n, list(edges)).options
+    assert g.colors == frozenset(c for _u, _v, c in edges)
+
+
+@pytest.mark.parametrize("n, pairs, error, message", [
+    (3, ((0, 1), (0, 1)), DuplicateEdge, "vertex pair (0, 1) appears more than once"),
+    (3, ((1, 1),), LoopEdge, "loop at vertex 1"),
+    (3, ((0, 0),), LoopEdge, "loop at vertex 0"),
+    (3, ((0, 1), (1, 2.0)), ValueError, "vertex must be an integer, got 2.0"),
+    (3, ((0, 1), (1, 3)), ValueError, "edge (1, 3) outside vertex range 0..2"),
+    (3.0, ((0, 1),), ValueError, "vertex count must be an integer, got 3.0"),
+    (3.0, (), ValueError, "vertex count must be an integer, got 3.0"),
+    (-1, ((0, 1),), ValueError, "vertex count must be non-negative"),
+    (-1, (), ValueError, "vertex count must be non-negative"),
+])
+def test_colouring_raises_like_the_constructor(n, pairs, error, message):
+    with pytest.raises(Exception) as info:
+        greedy_proper_coloring(SimpleGraph(n, pairs), 0)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("pair, message", [
