@@ -137,6 +137,21 @@ def _normalised(n: int, edges) -> list[Edge]:
     return normalised
 
 
+class _Bits(dict):
+    """Vertex to ``1 << vertex`` memo: each bit is made on first use."""
+
+    def __missing__(self, w: int) -> int:
+        bit = self[w] = 1 << w
+        return bit
+
+
+def _vertex_bits(n: int, m: int) -> list[int] | _Bits:
+    """``1 << w`` by vertex w, for a graph of ``n`` vertices and ``m``
+    edges.  A list of every bit holds about n * n / 16 bytes, so a graph
+    with more vertices than edge ends makes only the bits its edges use."""
+    return [1 << w for w in range(n)] if n <= 2 * m else _Bits()
+
+
 def _index(n: int, edges, ranks: list[int]) -> tuple[list[list[tuple[int, int, int]]], int]:
     """Option table of ``edges`` read as canonical, and how many it holds.
 
@@ -147,7 +162,7 @@ def _index(n: int, edges, ranks: list[int]) -> tuple[list[list[tuple[int, int, i
     ``_normalised`` edges only a repeated pair or a colour clash can stop it.
     """
     colour_bit = {c: 1 << r for r, c in enumerate(ranks)}
-    vertex_bit = [1 << w for w in range(n)]
+    vertex_bit = _vertex_bits(n, len(edges))
     options: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     seen = [0] * n
     prev_u = prev_v = 0
@@ -196,7 +211,7 @@ def _from_colour_bits(n: int, pairs, bits: list[int]) -> EdgeColoredGraph:
     coloured triples to the constructor, which raises or normalises them.
     """
     if type(n) is int and n >= 0:
-        vertex_bit = [1 << w for w in range(n)]
+        vertex_bit = _vertex_bits(n, len(bits))
         options: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         edges: list[Edge] = []
         prev_u = prev_v = 0

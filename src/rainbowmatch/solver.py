@@ -14,20 +14,26 @@ smaller of half the free vertices and the unused colours, two popcounts
 per node.  The "leave it unmatched" child is pushed only while the other
 free vertices can still hold what is needed.
 
-Counting walks the same tree without a colour cut or an incumbent, and
-counts the last edge of each matching in place rather than visiting it.
-On a Latin square's K_{n,n} encoding it is the independent oracle for
-``count_transversals``, which meets in the middle instead.
+Counting walks the same tree without a colour cut or an incumbent, so
+on a Latin square's K_{n,n} encoding it is the independent oracle for
+``count_transversals``, which meets in the middle instead.  It packs each
+option once per call into one mask, the other endpoint's bit with the
+colour's bit shifted above the vertex bits, so a node is the edges still
+needed and one mask of used-or-skipped vertices and used colours.  A node
+that needs two edges visits its one-edge children in place rather than
+pushing them, and a one-edge node counts its last edge in place.  This
+changes only the order of the visits: the tree and its node total are
+those of the plain walk, and the budget counts the same nodes.
 
 Both walks read the graph's per-vertex option table, which
 :class:`~rainbowmatch.graphs.EdgeColoredGraph` fills while it validates,
-so a solve has no setup pass of its own.  Colour bits are indexed by the
-colour's rank among the graph's colours, never by the colour value itself.
-Each walk keeps an explicit stack, so no graph is too deep for it and the
-interpreter's recursion limit is never touched.  They are
-deterministic: identical inputs give identical trees, traces and node
-counts.  Each call is single-threaded; calls on different graphs can run
-concurrently.
+so a solve has no setup pass of its own; a count packs the table in one
+O(m) pass per call.  Colour bits are indexed by the colour's rank among
+the graph's colours, never by the colour value itself.  Each walk keeps
+an explicit stack, so no graph is too deep for it and the interpreter's
+recursion limit is never touched.  They are deterministic: identical
+inputs give identical trees, traces and node counts.  Each call is
+single-threaded; calls on different graphs can run concurrently.
 """
 
 from __future__ import annotations
@@ -203,42 +209,70 @@ def count_rainbow_matchings(graph: EdgeColoredGraph, size: int,
 
     Branches on the lowest free vertex: one child per compatible edge at
     it, and one that leaves it unmatched while the other free vertices can
-    still hold the edges still needed.  The last edge is counted in place
-    rather than visited.  Used as the graph-side cross-check for transversal
-    counting.  Raises :class:`BudgetExceeded` before visiting node
-    ``node_budget + 1``; a negative budget raises ``ValueError``.
+    still hold the edges still needed.  There is no colour cut, so the
+    count is an independent oracle for transversal counting.  An option is
+    one mask, the other endpoint's bit with the colour's bit above the
+    ``n`` vertex bits, and it is compatible when it shares no bit with the
+    node's used-or-skipped mask.  A two-edge node visits each one-edge child
+    in place instead of pushing it, and a one-edge node counts its last
+    edge in place.  Only the visit order differs from a plain depth-first
+    walk, so the tree and its node total stay the same.  Raises
+    :class:`BudgetExceeded` before visiting node ``node_budget + 1``; a
+    negative budget raises ``ValueError``.
     """
     limit = _node_limit(node_budget)
     if size < 0:
         return 0
     if size == 0:
         return 1
-    options = graph.options
-    everyone = (1 << graph.n) - 1
+    n = graph.n
+    packed = [tuple([vb | cb << n for vb, cb, _idx in opts]) for opts in graph.options]
+    everyone = (1 << n) - 1
     nodes = count = 0
-    # A node is (edges still needed, used-or-skipped vertices, used colours).
-    stack = [(size, 0, 0)]
+    # A node is (edges still needed, used-or-skipped vertices | used colours << n).
+    stack = [(size, 0)]
     while stack:
-        need, used_v, used_c = stack.pop()
+        need, used = stack.pop()
         if nodes >= limit:
             raise BudgetExceeded(f"node budget {node_budget} hit while counting")
         nodes += 1
-        free = everyone ^ used_v
+        free = everyone & ~used
         room = free.bit_count()
         if room >> 1 < need:
             continue
         low = free & -free
-        opts = options[low.bit_length() - 1]
+        opts = packed[low.bit_length() - 1]
         if (room - 1) >> 1 >= need:
-            stack.append((need, used_v | low, used_c))
+            stack.append((need, used | low))
+        used |= low
         if need == 1:
-            for vb, cb, _idx in opts:
-                if free & vb and not used_c & cb:
+            for m in opts:
+                if not used & m:
                     count += 1
+        elif need == 2:
+            # This node passed its cut with room >= 4, so each child has
+            # room - 2 >= 2 free vertices and passes its own.  A child
+            # pushes its skip child when it has three.
+            split = room >= 5
+            for m in opts:
+                if used & m:
+                    continue
+                if nodes >= limit:
+                    raise BudgetExceeded(f"node budget {node_budget} hit while counting")
+                nodes += 1
+                child = used | m
+                # The child's lowest free vertex is the lowest clear bit:
+                # every vertex below it is used or skipped.
+                child_low = ~child & (child + 1)
+                if split:
+                    stack.append((1, child | child_low))
+                child |= child_low
+                for last in packed[child_low.bit_length() - 1]:
+                    if not child & last:
+                        count += 1
         else:
             need -= 1
-            used_v |= low
-            for vb, cb, _idx in opts:
-                if free & vb and not used_c & cb:
-                    stack.append((need, used_v | vb, used_c | cb))
+            for m in opts:
+                if not used & m:
+                    stack.append((need, used | m))
     return count

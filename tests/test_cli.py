@@ -18,7 +18,9 @@ from rainbowmatch import (
     latin_to_graph,
     parse_graph,
     random_graph_min_degree,
+    random_latin,
 )
+from rainbowmatch import cli
 from rainbowmatch.cli import build_parser, main
 from rainbowmatch.latin import cyclic_square
 
@@ -353,6 +355,25 @@ def test_latin_random_sampling(capsys):
     assert main(["latin", "--random", "3", "--samples", "4",
                  "--crosscheck"]) == 0
     assert "odd_zero_transversal 0" in capsys.readouterr().out
+
+
+def test_latin_crosscheck_mismatch_exits_3(capsys, monkeypatch):
+    # A graph-side count one too high must be caught, not printed.
+    real = cli.count_rainbow_matchings
+    monkeypatch.setattr(cli, "count_rainbow_matchings",
+                        lambda graph, size: real(graph, size) + 1)
+    assert main(["latin", "--cyclic", "5", "--crosscheck"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "crosscheck mismatch: 15 vs 16\n"
+    assert main(["latin", "--random", "7", "--samples", "2",
+                 "--crosscheck"]) == 3
+    captured = capsys.readouterr()
+    square = random_latin(7, 0)
+    count = real(latin_to_graph(square), 7)
+    assert captured.out == ""
+    assert captured.err == (f"crosscheck mismatch on sample 0: {count} vs {count + 1}\n"
+                            + dumps_square(square))
 
 
 def test_latin_random_rejects_samples_below_one(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -12,13 +13,16 @@ from rainbowmatch import (
     ImproperColoring,
     LoopEdge,
     Matching,
+    SimpleGraph,
     UnknownEdge,
     bound_n,
     build_graph,
     color_classes,
+    greedy_proper_coloring,
     is_rainbow_matching,
     max_degree,
     min_degree,
+    parse_graph,
 )
 from rainbowmatch import graphs
 
@@ -88,6 +92,23 @@ def test_non_integer_values_rejected_by_name(n, edge, named):
 def test_non_integer_vertex_count_rejected(n):
     with pytest.raises(ValueError, match=repr(n)):
         build_graph(n, [])
+
+
+def test_sparse_graph_with_many_vertices_builds_in_linear_memory():
+    # One edge across 40,000 vertices: the table needs two vertex bits, not
+    # all 40,000 (about 100 MB of ints).  Both one-pass builders are held.
+    for build in (lambda: parse_graph("g 40000\ne 0 39999 1\n"),
+                  lambda: greedy_proper_coloring(SimpleGraph(40000, ((0, 39999),)), 0)):
+        tracemalloc.start()
+        try:
+            g = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6_000_000
+        assert g.edges == ((0, 39999, 1),)
+        assert g.options[0] == ((1 << 39999, 1, 0),)
+        assert g.options[39999] == ((1, 1, 0),)
 
 
 def test_edges_normalised_lower_vertex_first():

@@ -13,9 +13,11 @@ from rainbowmatch import (
     count_rainbow_matchings,
     greedy_proper_coloring,
     is_rainbow_matching,
+    latin_to_graph,
     max_rainbow_matching,
     rainbow_matching_at_least,
     random_graph_min_degree,
+    random_latin,
     solve_decision,
 )
 
@@ -177,12 +179,22 @@ def test_count_perfect_on_k33_matches_transversals():
 
 
 def test_count_budget_boundary_is_exact():
-    # The counting tree of the cyclic K5,5 has 61 nodes; the search may
-    # visit exactly node_budget of them.
-    g = cyclic_knn(5)
-    assert count_rainbow_matchings(g, 5, node_budget=61) == 15
-    with pytest.raises(BudgetExceeded):
-        count_rainbow_matchings(g, 5, node_budget=60)
+    # Each counting tree's node total: the search may visit exactly
+    # node_budget nodes, and raises one node short.  The totals pin the
+    # tree itself, so a change to the branching, the cuts or the in-place
+    # visits that altered it shows here.
+    cases = [
+        (cyclic_knn(5), 5, 15, 61),
+        (cyclic_knn(6), 6, 0, 223),
+        # Size 4 on K7,7 leaves room for skip branches at every level.
+        (cyclic_knn(7), 4, 8869, 19558),
+        (latin_to_graph(random_latin(8, 1)), 8, 58, 3784),
+        (greedy_proper_coloring(random_graph_min_degree(11, 4, 2), 2), 4, 1259, 2089),
+    ]
+    for g, size, count, nodes in cases:
+        assert count_rainbow_matchings(g, size, node_budget=nodes) == count
+        with pytest.raises(BudgetExceeded):
+            count_rainbow_matchings(g, size, node_budget=nodes - 1)
 
 
 def test_count_on_a_graph_wider_than_a_machine_word():
