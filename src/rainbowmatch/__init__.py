@@ -106,13 +106,11 @@ from .campaigns import (
     CampaignResult,
     CellResult,
     InstanceRecord,
-    ScanRow,
     campaign_to_json,
     derive_seed,
     lesaulnier_exception,
     lesaulnier_threshold,
     run_campaign,
-    run_scan,
     wang_applies,
     wang_threshold,
     write_campaign_files,
@@ -126,7 +124,7 @@ __all__ = [
     "Edge", "EdgeColoredGraph", "Error", "ImproperColoring",
     "InfeasibleDegree", "InstanceRecord", "InvalidState", "LatinSquare",
     "LoopEdge", "MatchedPair", "Matching", "NotCompleteBipartite", "NotStuck",
-    "OrderTooLarge", "ParseError", "RuleStep", "ScanRow", "SearchEvent",
+    "OrderTooLarge", "ParseError", "RuleStep", "SearchEvent",
     "SimpleGraph", "SolveResult", "UnknownEdge", "WrongColourCount",
     "WrongWitness", "applicable_rules", "audit_state", "audit_stuck_state",
     "bound_n", "build_graph", "campaign_to_json",
@@ -141,6 +139,6 @@ __all__ = [
     "rainbow_matching_at_least", "random_graph_min_degree", "random_latin",
     "records_to_csv", "replay_trace", "rule_direct", "rule_exchange",
     "rule_mono", "rule_vertex_reduce", "run_campaign", "run_engine",
-    "run_scan", "solve_decision", "to_json", "trace_to_json_lines",
+    "solve_decision", "to_json", "trace_to_json_lines",
     "wang_applies", "wang_threshold", "write_campaign_files",
 ]

@@ -107,7 +107,12 @@ class MatchedPair:
 
 @dataclass
 class AuditReport:
-    """Counts, labelled pairs and check verdicts for one stuck state."""
+    """Counts, labelled pairs and check verdicts for one stuck state.
+
+    The counts (r, s, a, t) are ``good_pair_count``, ``nice_pair_count``,
+    ``max_class_size`` and ``mono_touched_count``; ``order_bound`` is the
+    right-hand side of ``order-inequality`` at those counts.
+    """
 
     delta: int
     n: int
@@ -123,6 +128,7 @@ class AuditReport:
     good_pair_count: int = 0
     nice_pair_count: int = 0
     mono_touched_count: int = 0
+    order_bound: int = 0
     checks: list[ClaimCheck] = field(default_factory=list)
 
     def check(self, name: str) -> ClaimCheck | None:
@@ -301,6 +307,7 @@ def audit_state(graph: EdgeColoredGraph, matching: Matching, mono: Matching,
     report.good_pair_count = r
     report.nice_pair_count = s
     report.mono_touched_count = t
+    report.order_bound = rhs
     return report
 
 

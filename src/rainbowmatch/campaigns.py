@@ -260,41 +260,6 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
     return result
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    delta: int
-    n: int
-    samples: int
-    failures: int
-    inconclusive: int
-    failure_rate: float
-
-
-def run_scan(delta: int, n_values, samples: int, master_seed: int,
-             node_budget: int = DEFAULT_NODE_BUDGET,
-             extra_edge_prob: float = 0.0) -> list[ScanRow]:
-    """Failure rate of "rainbow matching of size the minimum degree" per
-    order; the interesting range sits between 2*delta and the proven bound."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    rows = []
-    for n in n_values:
-        failures = 0
-        inconclusive = 0
-        for i in range(samples):
-            gseed = derive_seed(master_seed, "scan-graph", delta, n, i)
-            base = random_graph_min_degree(n, delta, gseed, extra_edge_prob)
-            cseed = derive_seed(master_seed, "scan-color", delta, n, i)
-            graph = greedy_proper_coloring(base, cseed)
-            res = _checked(graph, solve_decision(graph, delta, node_budget))
-            verdict = _verdict(res.size, res.optimal, delta)
-            failures += verdict is False
-            inconclusive += verdict is None
-        rows.append(ScanRow(delta, n, samples, failures, inconclusive,
-                            failures / samples))
-    return rows
-
-
 def campaign_to_json(result: CampaignResult) -> str:
     payload = {
         "config": to_json(result.config),

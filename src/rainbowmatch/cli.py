@@ -1,6 +1,6 @@
 """Command-line driver.
 
-Subcommands: solve, verify, scan, certify, latin, audit.  Exit codes:
+Subcommands: solve, verify, certify, latin, audit.  Exit codes:
 0 success, 1 usage error, 2 parse or validation error, 3 property
 violation found.  Checks documented as diagnostic or conditional never
 affect the exit code.
@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
 
 from .auditor import (
     NON_BINDING_CHECKS,
@@ -24,15 +23,13 @@ from .auditor import (
 )
 from .campaigns import (
     CampaignConfig,
-    ScanRow,
     run_campaign,
-    run_scan,
     write_campaign_files,
 )
 from .engine import run_engine, trace_to_json_lines
 from .errors import Error, NotStuck, ParseError
 from .graphs import Matching, min_degree
-from .io import dumps_graph, load_graph, records_to_csv, to_json
+from .io import dumps_graph, load_graph, to_json
 from .latin import (
     count_transversals,
     cyclic_square,
@@ -137,20 +134,6 @@ def cmd_verify(args) -> int:
     if result.violations:
         print(f"{len(result.violations)} violation(s) found", file=sys.stderr)
         return 3
-    return 0
-
-
-def cmd_scan(args) -> int:
-    if args.n_max < args.n_min:
-        raise ValueError("n-max must be at least n-min")
-    rows = run_scan(args.delta, range(args.n_min, args.n_max + 1),
-                    args.samples, args.seed, node_budget=args.budget,
-                    extra_edge_prob=args.prob)
-    text = (json.dumps(to_json(rows), sort_keys=True, indent=2) + "\n"
-            if args.format == "json" else records_to_csv(rows, ScanRow))
-    if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
-    print(text, end="")
     return 0
 
 
@@ -302,19 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="directory for result files")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("scan", help="failure rate of reaching the minimum "
-                                    "degree, across orders")
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--n-min", type=int, required=True, dest="n_min")
-    p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=10 ** 8)
-    p.add_argument("--prob", type=float, default=0.0)
-    p.add_argument("--out", default=None, help="output file")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("certify", help="counting-bound certification per "
                                        "minimum degree: the exact maximum "

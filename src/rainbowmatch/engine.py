@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvalidState
 from .graphs import Edge, EdgeColoredGraph, Matching, _require_edges
 from .solver import SolveResult, _matching, _search, rainbow_matching_at_least
 
@@ -110,6 +110,11 @@ def rule_exchange(graph: EdgeColoredGraph, matching: Matching, depth: int = 3,
     :class:`BudgetExceeded`.  A matched edge absent from the graph raises
     :class:`UnknownEdge`.  A negative ``depth`` raises ``ValueError``, as
     in :func:`run_engine`; 0 tries no exchange.
+
+    The kept edges' masks are the union of every matched edge's vertex and
+    colour bits with the removed edges' bits XORed out, which is exact only
+    for a rainbow matching: matched edges that share a vertex or a colour
+    raise :class:`InvalidState`, at any depth.
     """
     _check_depth(depth)
     found, _removals, budget_hit = _exchange(graph, matching, depth, node_budget, [0])
@@ -125,24 +130,37 @@ def _check_depth(depth: int) -> None:
 
 def _exchange(graph, matching, depth, budget, counter):
     """The walk behind :func:`rule_exchange`: ``(matching or None, removals,
-    budget hit)``.  Core nodes add up in ``counter[0]``, capped by ``budget``."""
+    budget hit)``.  Core nodes add up in ``counter[0]``, capped by ``budget``.
+
+    The matched edges' vertex and colour bits are ORed once; each removal
+    subset XORs out its removed edges' bits.  That is exact only when the
+    matched edges share no vertex and no colour, so the union must hold 2k
+    vertex bits and k colour bits for k edges, or :class:`InvalidState`
+    is raised."""
     medges = matching.edges
+    k = len(medges)
     bits = _matched_bits(graph, matching)
-    for removals in range(1, min(depth, len(medges)) + 1):
-        for removed_idx in combinations(range(len(medges)), removals):
-            used_v = used_c = 0
-            for i, (vbits, cb) in enumerate(bits):
-                if i not in removed_idx:
-                    used_v |= vbits
-                    used_c |= cb
-            run = _search(graph, removals + 1,
-                          None if budget is None else budget - counter[0],
-                          used_v, used_c)
-            counter[0] += run.nodes
-            if run.size > removals:
+    all_v = all_c = 0
+    for vbits, cb in bits:
+        all_v |= vbits
+        all_c |= cb
+    if all_v.bit_count() != 2 * k or all_c.bit_count() != k:
+        raise InvalidState("the matched edges must share no vertex and no colour")
+    for removals in range(1, min(depth, k) + 1):
+        for removed_idx in combinations(range(k), removals):
+            used_v, used_c = all_v, all_c
+            for i in removed_idx:
+                vbits, cb = bits[i]
+                used_v ^= vbits
+                used_c ^= cb
+            chain, size, nodes, _events, budget_hit = _search(
+                graph, removals + 1,
+                None if budget is None else budget - counter[0], used_v, used_c)
+            counter[0] += nodes
+            if size > removals:
                 keep = [e for i, e in enumerate(medges) if i not in removed_idx]
-                return Matching(keep + list(_matching(graph, run.best))), removals, False
-            if run.budget_hit:
+                return Matching(keep + list(_matching(graph, chain))), removals, False
+            if budget_hit:
                 return None, removals, True
     return None, depth, False
 

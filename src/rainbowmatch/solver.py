@@ -14,6 +14,13 @@ smaller of half the free vertices and the unused colours, two popcounts
 per node.  The "leave it unmatched" child is pushed only while the other
 free vertices can still hold what is needed.
 
+A walk returns one plain tuple: the witness chain, its size, the nodes
+visited, the milestones (each new incumbent and a budget stop) as plain
+``(event, size, node)`` tuples, and whether the budget stopped it.
+``_result`` is the one place that publishes a walk, as a
+:class:`SolveResult` whose trace holds :class:`SearchEvent` entries; the
+exchange reads the tuple and builds neither.
+
 Counting walks the same tree without a colour cut or an incumbent, so
 on a Latin square's K_{n,n} encoding it is the independent oracle for
 ``count_transversals``, which meets in the middle instead.  It packs each
@@ -71,17 +78,6 @@ class SolveResult:
     trace: tuple = ()
 
 
-@dataclass
-class _Run:
-    """What one walk of the search tree found."""
-
-    best: tuple | None      # witness chain: (edge id, rest of the chain) or None
-    size: int
-    nodes: int
-    events: list
-    budget_hit: bool
-
-
 def _node_limit(node_budget: int | None):
     """A walk's node cap: none for ``None``; a negative budget raises
     ``ValueError``, and 0 visits no node."""
@@ -93,7 +89,7 @@ def _node_limit(node_budget: int | None):
 
 
 def _search(graph: EdgeColoredGraph, target: int | None,
-            node_budget: int | None, used_v: int = 0, used_c: int = 0) -> _Run:
+            node_budget: int | None, used_v: int = 0, used_c: int = 0):
     """Vertex-branching branch and bound over the graph's option table.
 
     With ``target`` None the search maximises; otherwise it stops at the
@@ -101,8 +97,14 @@ def _search(graph: EdgeColoredGraph, target: int | None,
     vertices and colours already taken, and the sizes counted are of the
     edges added to them.
     The search stops before it would visit node ``node_budget + 1``.
+
+    Returns ``(chain, size, nodes, events, budget_hit)``: the witness chain
+    of the best matching found (``(edge id, rest of the chain)``, or None
+    for none), its size, the nodes visited, the milestones as plain
+    ``(event, size, node)`` tuples and whether the budget stopped the walk.
+    :func:`_result` publishes a walk; the exchange reads the tuple as is.
     """
-    limit = _node_limit(node_budget)
+    limit = math.inf if node_budget is None else _node_limit(node_budget)
     options = graph.options
     everyone = (1 << graph.n) - 1
     colours = (1 << len(graph.colors)) - 1
@@ -110,22 +112,22 @@ def _search(graph: EdgeColoredGraph, target: int | None,
     need = 1 if maximise else target
     nodes = best_size = 0
     best = None
-    events: list[SearchEvent] = []
+    events = []
     # A node is (size, used-or-skipped vertices, used colours, witness chain).
     stack = [(0, used_v, used_c, None)]
     while stack:
         size, used_v, used_c, chain = stack.pop()
         if nodes >= limit:
-            events.append(SearchEvent("budget", size, nodes))
-            return _Run(best, best_size, nodes, events, True)
+            events.append(("budget", size, nodes))
+            return best, best_size, nodes, events, True
         nodes += 1
         if size > best_size:
             best, best_size = chain, size
-            events.append(SearchEvent("incumbent", size, nodes))
+            events.append(("incumbent", size, nodes))
             if maximise:
                 need = size + 1
             elif size >= need:   # a matching of the target size
-                return _Run(best, best_size, nodes, events, False)
+                return best, best_size, nodes, events, False
         free = everyone ^ used_v
         room = free.bit_count()
         # Cut unless half the free vertices and the unused colours can
@@ -141,7 +143,7 @@ def _search(graph: EdgeColoredGraph, target: int | None,
         for vb, cb, idx in reversed(options[low.bit_length() - 1]):
             if free & vb and not used_c & cb:
                 stack.append((size, used_v | vb, used_c | cb, (idx, chain)))
-    return _Run(best, best_size, nodes, events, False)
+    return best, best_size, nodes, events, False
 
 
 def _matching(graph: EdgeColoredGraph, chain) -> Matching:
@@ -152,16 +154,18 @@ def _matching(graph: EdgeColoredGraph, chain) -> Matching:
     return Matching(picked)
 
 
-def _result(graph: EdgeColoredGraph, run: _Run) -> SolveResult:
-    """The public record of a walk, optimal unless the budget stopped it.
-    A decide walk returns at its witness before any budget stop, so a
-    budget stop leaves it below its target."""
+def _result(graph: EdgeColoredGraph, walk) -> SolveResult:
+    """The public record of a :func:`_search` walk, optimal unless the
+    budget stopped it; the one place a walk's events become
+    :class:`SearchEvent` entries.  A decide walk returns at its witness
+    before any budget stop, so a budget stop leaves it below its target."""
+    chain, size, nodes, events, budget_hit = walk
     return SolveResult(
-        best=_matching(graph, run.best),
-        size=run.size,
-        optimal=not run.budget_hit,
-        nodes_explored=run.nodes,
-        trace=tuple(run.events),
+        best=_matching(graph, chain),
+        size=size,
+        optimal=not budget_hit,
+        nodes_explored=nodes,
+        trace=tuple([SearchEvent(*event) for event in events]),
     )
 
 

@@ -39,11 +39,11 @@ from rainbowmatch.auditor import (
 )
 
 from conftest import (
+    as_pinned_audit,
     k33_cyclic,
     k4_one_factorization,
     pendant_star,
     random_instance,
-    with_good_nice_inclusion,
 )
 
 
@@ -419,15 +419,16 @@ def audit_corpus():
 def test_audit_reports_are_pinned():
     # sha256 of the JSON report of every corpus state, taken before the
     # four audit stages were folded into one pass, while reports still
-    # carried the always-true good-nice-inclusion check; it is put back
-    # before hashing.  Every check fails somewhere in the corpus, and good
-    # and nice pairs both occur.
+    # carried the always-true good-nice-inclusion check and no order_bound
+    # field; the check is put back and the field dropped before hashing.
+    # Every check fails somewhere in the corpus, and good and nice pairs
+    # both occur.
     digest = hashlib.sha256()
     failed = dict.fromkeys(CHECK_NAMES, 0)
     good = nice = 0
     for g, matching, mono in audit_corpus():
         report = audit_state(g, matching, mono)
-        payload = with_good_nice_inclusion(to_json(report))
+        payload = as_pinned_audit(to_json(report))
         digest.update(json.dumps(payload, sort_keys=True).encode())
         assert [c.name for c in report.checks] == list(CHECK_NAMES)
         for c in report.checks:
@@ -485,7 +486,8 @@ def test_audited_tuples_lie_under_the_certified_maximum():
         r, s, t = (report.good_pair_count, report.nice_pair_count,
                    report.mono_touched_count)
         assert r + s + t <= d - 1 and a <= 2 * d - 2, (d, r, s, a, t)
-        rhs = int(report.check("order-inequality").note.rsplit(" ", 1)[1])
+        rhs = report.order_bound
+        assert report.check("order-inequality").note.endswith(f" {rhs}")
         assert 2 * rhs <= 2 * d * certify_counting_bound(d).worst_n, (d, r, s, a, t)
         checked += 1
     # 78 corpus states and 551 engine-stuck ones.

@@ -5,7 +5,6 @@ import pytest
 from rainbowmatch import (
     CampaignConfig,
     Matching,
-    ScanRow,
     SolveResult,
     WrongWitness,
     bound_n,
@@ -19,7 +18,6 @@ from rainbowmatch import (
     random_graph_min_degree,
     records_to_csv,
     run_campaign,
-    run_scan,
     solve_decision,
     to_json,
     wang_applies,
@@ -127,8 +125,6 @@ def test_wrong_witness_raises_and_is_never_counted(monkeypatch):
     monkeypatch.setattr(campaigns, "solve_decision", _wrong_witness)
     with pytest.raises(WrongWitness):
         run_campaign(SMALL)
-    with pytest.raises(WrongWitness):
-        run_scan(2, [7], 1, 0)
 
 
 def test_repeated_delta_is_rejected():
@@ -190,33 +186,3 @@ def test_write_campaign_files(tmp_path):
     with pytest.raises(ValueError):
         write_campaign_files(result, tmp_path / "bad", fmt="xml")
 
-
-# --------------------------------------------------------------------- scans
-
-def test_scan_rows_and_bound_row_never_fails():
-    rows = run_scan(2, range(5, 8), samples=8, master_seed=3)
-    assert [r.n for r in rows] == [5, 6, 7]
-    for row in rows:
-        assert row.samples == 8
-        assert 0 <= row.failures <= row.samples
-        assert row.failure_rate == row.failures / row.samples
-    assert rows[-1].failures == 0          # n = 7 meets the proven bound
-
-
-@pytest.mark.parametrize("samples", [0, -2])
-def test_scan_rejects_fewer_than_one_sample(samples):
-    # An empty scan row would read as a failure rate of 0.
-    with pytest.raises(ValueError, match="samples must be at least 1"):
-        run_scan(2, [5], samples=samples, master_seed=0)
-
-
-def test_scan_serialisations_round_trip():
-    rows = run_scan(2, [6, 7], samples=4, master_seed=1)
-    text = records_to_csv(rows, ScanRow)
-    lines = text.splitlines()
-    assert lines[0] == "delta,n,samples,failures,inconclusive,failure_rate"
-    assert len(lines) == 3
-    payload = json.loads(json.dumps(to_json(rows)))
-    assert [row["n"] for row in payload] == [6, 7]
-    assert records_to_csv(run_scan(2, [6, 7], samples=4, master_seed=1),
-                          ScanRow) == text

@@ -25,11 +25,11 @@ from rainbowmatch.cli import build_parser, main
 from rainbowmatch.latin import cyclic_square
 
 from conftest import (
+    as_pinned_audit,
     c4,
     k4_one_factorization,
     k33_cyclic,
     pendant_star,
-    with_good_nice_inclusion,
 )
 
 
@@ -233,48 +233,6 @@ def test_verify_cell_counts_partition_the_instances(tmp_path, capsys):
         assert (int(cell["ok"]) + int(cell["failures"])
                 + int(cell["inconclusive"])) == int(cell["instances"])
     assert (cells[1]["failures"], cells[1]["inconclusive"]) == ("8", "0")
-
-
-
-# --------------------------------------------------------------------- scan
-
-def test_scan_stdout_and_file(tmp_path, capsys):
-    out_file = tmp_path / "scan.csv"
-    assert main(["scan", "--delta", "2", "--n-min", "6", "--n-max", "7",
-                 "--samples", "3", "--out", str(out_file)]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0] == "delta,n,samples,failures,inconclusive,failure_rate"
-    assert out_file.read_text() == out
-    assert len(out.splitlines()) == 3
-
-
-def test_scan_rejects_reversed_range(capsys):
-    assert main(["scan", "--delta", "2", "--n-min", "7", "--n-max", "6"]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flags, message", [
-    pytest.param(["--samples", "0"], "samples must be at least 1, got 0", id="0"),
-    pytest.param(["--samples", "-2"], "samples must be at least 1, got -2",
-                 id="-2"),
-    # A probability outside [0, 1] would run as 0 or 1.
-    pytest.param(["--prob", "-0.5"],
-                 "extra edge probability must lie in [0, 1], got -0.5",
-                 id="prob=-0.5"),
-    pytest.param(["--prob", "nan"],
-                 "extra edge probability must lie in [0, 1], got nan",
-                 id="prob=nan"),
-    pytest.param(["--prob", "7"],
-                 "extra edge probability must lie in [0, 1], got 7.0",
-                 id="prob=7")])
-def test_scan_rejects_fewer_than_one_sample(flags, message, tmp_path, capsys):
-    out = tmp_path / "scan.csv"
-    assert main(["scan", "--delta", "3", "--n-min", "7", "--n-max", "8",
-                 "--out", str(out), *flags]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
-    assert not out.exists()
 
 
 # ------------------------------------------------------------------ certify
@@ -550,12 +508,13 @@ def test_cli_result_files_are_pinned(tmp_path, capsys, monkeypatch, k4_file,
     # retaken when a cell's inconclusive count became the records whose
     # theorem verdict is unknown: its proven noes no longer count there.
     # The audit digests were taken while each report carried the
-    # always-true good-nice-inclusion check, which is put back first.
+    # always-true good-nice-inclusion check and no order_bound field;
+    # as_pinned_audit puts the one back and drops the other first.
     def run(argv, code=0, out_dir=None):
         assert main(argv) == code
         text = capsys.readouterr().out
         if argv[0] == "audit":
-            payload = with_good_nice_inclusion(json.loads(text))
+            payload = as_pinned_audit(json.loads(text))
             text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         if out_dir is not None:
             for path in sorted(Path(out_dir).iterdir()):
@@ -576,13 +535,6 @@ def test_cli_result_files_are_pinned(tmp_path, capsys, monkeypatch, k4_file,
             verify + ["--n-rule", "fixed:5", "--samples", "4", "--seed", "3",
                       "--budget", "3", "--out", str(out), "--format", fmt],
             out_dir=out)
-    scan = ["scan", "--delta", "2", "--n-min", "4", "--n-max", "7",
-            "--samples", "6", "--seed", "3", "--budget", "3"]
-    for fmt in ("csv", "json"):
-        out = tmp_path / f"scan-{fmt}"
-        out.mkdir()
-        digests[f"scan {fmt}"] = run(
-            scan + ["--format", fmt, "--out", str(out / "scan")], out_dir=out)
     rnd = tmp_path / "random.txt"
     rnd.write_text(dumps_graph(greedy_proper_coloring(
         random_graph_min_degree(16, 4, 5), 5)))
@@ -618,10 +570,6 @@ def test_cli_result_files_are_pinned(tmp_path, capsys, monkeypatch, k4_file,
             "17f2a8f924e4b1db5589177560663fd323b8bfddba559e4b8bc576b1c1999f5c",
         "certify":
             "b997640e0c459c8008e3a1159547466e18e94ae5b101131302e9aa4b1f6ce449",
-        "scan csv":
-            "01c89195b619d210b7e1a5eb1991a0fb37dde889d5db7cc85391af4758ad8aaa",
-        "scan json":
-            "d88cd1d9611cf05dc41cedd32b365cc5ad1edc39398fc096dd6a7f8e7c9e2aa4",
         "solve k4":
             "2c0347c088abf273071a932eb3f74dfb5dc11a1a6bcee87c055ebc617ff47682",
         "solve pend":

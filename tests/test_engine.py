@@ -7,15 +7,18 @@ from hypothesis import strategies as st
 
 from rainbowmatch import (
     BudgetExceeded,
+    InvalidState,
     Matching,
     RuleStep,
     UnknownEdge,
     audit_stuck_state,
     bound_n,
     build_graph,
+    cyclic_square,
     greedy_proper_coloring,
     greedy_rainbow,
     is_rainbow_matching,
+    latin_to_graph,
     max_rainbow_matching,
     random_graph_min_degree,
     replay_trace,
@@ -104,6 +107,28 @@ def test_exchange_rejects_a_matched_edge_absent_from_the_graph():
     g = build_graph(6, [(0, 1, 1), (2, 3, 1), (0, 4, 2), (3, 5, 7)])
     with pytest.raises(UnknownEdge):
         rule_mono(g, Matching([(0, 5, 1)]))
+
+
+@pytest.mark.parametrize("matching", [
+    pytest.param([(0, 1, 1), (1, 2, 2)], id="shared-vertex"),
+    pytest.param([(0, 1, 1), (3, 4, 1)], id="shared-colour")])
+def test_exchange_rejects_matched_edges_that_meet(matching):
+    # The kept edges' masks are the matched edges' union with the removed
+    # edges XORed out, which is exact only for a rainbow matching.
+    g = build_graph(6, [(0, 1, 1), (1, 2, 2), (3, 4, 1), (4, 5, 3)])
+    for depth in (0, 1, 3):
+        with pytest.raises(InvalidState, match="share no vertex and no colour"):
+            rule_exchange(g, Matching(matching), depth)
+
+
+@pytest.mark.parametrize("n, nodes", [
+    (8, 346), (10, 687), (12, 1159), (14, 1872), (16, 2790)])
+def test_exchange_node_totals_on_even_cyclic_squares(n, nodes):
+    # An even cyclic square has no transversal, and the greedy seed already
+    # holds n - 1 edges, so every removal subset to depth 3 is searched to
+    # exhaustion and the trace is the seed alone.
+    res = run_engine(latin_to_graph(cyclic_square(n)), n)
+    assert (res.size, res.nodes_explored, len(res.trace)) == (n - 1, nodes, 1)
 
 
 def test_exchange_absent_at_optimum_on_k4():

@@ -141,6 +141,19 @@ def test_budgeted_max_ends_with_a_budget_event():
     assert max_rainbow_matching(g, node_budget=20).optimal
 
 
+def test_published_traces_hold_search_events():
+    # The walk keeps its milestones as plain tuples; the published trace of
+    # a max solve and of a budget-stopped decide holds SearchEvents only.
+    g = cyclic_knn(6)
+    res = max_rainbow_matching(g)
+    assert res.trace and all(type(e) is SearchEvent for e in res.trace)
+    assert [e.event for e in res.trace] == ["incumbent"] * len(res.trace)
+    stopped = solve_decision(g, 6, node_budget=10)
+    assert not stopped.optimal and stopped.size < 6
+    assert stopped.trace[-1] == SearchEvent("budget", stopped.trace[-1].size, 10)
+    assert all(type(e) is SearchEvent for e in stopped.trace)
+
+
 def test_negative_budget_raises_and_zero_is_legal():
     g = k33_cyclic()
     for walk in (lambda b: max_rainbow_matching(g, node_budget=b),
