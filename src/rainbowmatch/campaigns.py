@@ -153,9 +153,10 @@ def _checked(graph: EdgeColoredGraph, res):
     return res
 
 
-def _evaluate_instance(graph, delta, config, rec_common, out_dir, result):
+def _evaluate_instance(graph, delta, flagged, config, rec_common, out_dir, result):
     """Solve one colouring exactly, run the engine, apply the weaker-bound
-    checks, and append the record (dumping a witness on any violation)."""
+    checks, and append the record (dumping a witness on any violation).
+    ``flagged`` is :func:`lesaulnier_exception` of the graph."""
     res = final = _checked(graph, solve_decision(graph, delta, config.node_budget))
     nodes = res.nodes_explored
     if res.size < delta and res.optimal:
@@ -169,7 +170,6 @@ def _evaluate_instance(graph, delta, config, rec_common, out_dir, result):
     wang_ok = _verdict(found_size, final.optimal, wang_threshold(delta))
     status = "ok" if theorem_ok or final.optimal else "inconclusive"
 
-    flagged = lesaulnier_exception(graph)
     wang_app = wang_applies(graph.n, delta)
     eng = run_engine(graph, delta, config.engine_depth,
                      node_budget=config.node_budget)
@@ -231,6 +231,10 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
             for j in range(config.recolorings + 1):
                 cseed = derive_seed(config.master_seed, "color", delta, n, i, j)
                 graph = greedy_proper_coloring(base, cseed)
+                if j == 0:
+                    # The order, edge count and minimum degree are the base
+                    # graph's, whatever the colouring.
+                    flagged = lesaulnier_exception(graph)
                 rec_common = {
                     "config_hash": result.config_hash,
                     "delta": delta,
@@ -240,7 +244,8 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
                     "graph_seed": gseed,
                     "color_seed": cseed,
                 }
-                _evaluate_instance(graph, delta, config, rec_common, out_dir, result)
+                _evaluate_instance(graph, delta, flagged, config, rec_common,
+                                   out_dir, result)
         cell_records = result.records[first:]
         ok = sum(1 for r in cell_records if r.theorem_ok is True)
         failures = sum(1 for r in cell_records if r.theorem_ok is False)

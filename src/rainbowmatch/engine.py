@@ -75,19 +75,31 @@ def greedy_rainbow(graph: EdgeColoredGraph) -> Matching:
 
 
 def _matched_bits(graph, matching):
-    """Each matched edge's two vertex bits and colour bit, off the option
-    table.  A matched edge absent from the graph raises :class:`UnknownEdge`."""
+    """``(bits, all_v, all_c)``: each matched edge's two vertex bits and
+    colour bit off the option table, and their unions.  A matched edge
+    absent from the graph raises :class:`UnknownEdge`.  Matched edges that
+    share a vertex or a colour raise :class:`InvalidState`: for k edges the
+    unions must hold 2k vertex bits and k colour bits."""
     _require_edges(graph, matching.edges)
     bits = []
     for u, v, _c in matching.edges:
         bits.extend(((1 << u) | vb, cb) for vb, cb, _idx in graph.options[u]
                     if vb == 1 << v)
-    return bits
+    all_v = all_c = 0
+    for vbits, cb in bits:
+        all_v |= vbits
+        all_c |= cb
+    k = len(bits)
+    if all_v.bit_count() != 2 * k or all_c.bit_count() != k:
+        raise InvalidState("the matched edges must share no vertex and no colour")
+    return bits, all_v, all_c
 
 
 def rule_direct(graph: EdgeColoredGraph, matching: Matching) -> Matching | None:
     """First edge (by id) with both endpoints free and an unused colour.
-    A matched edge absent from the graph raises :class:`UnknownEdge`."""
+    A matched edge absent from the graph raises :class:`UnknownEdge`;
+    matched edges that share a vertex or a colour raise
+    :class:`InvalidState`."""
     _matched_bits(graph, matching)
     used_v = matching.vertices
     used_c = set(matching.colors)
@@ -114,7 +126,7 @@ def rule_exchange(graph: EdgeColoredGraph, matching: Matching, depth: int = 3,
     The kept edges' masks are the union of every matched edge's vertex and
     colour bits with the removed edges' bits XORed out, which is exact only
     for a rainbow matching: matched edges that share a vertex or a colour
-    raise :class:`InvalidState`, at any depth.
+    raise :class:`InvalidState`, at any depth, as in every rule.
     """
     _check_depth(depth)
     found, _removals, budget_hit = _exchange(graph, matching, depth, node_budget, [0])
@@ -133,19 +145,12 @@ def _exchange(graph, matching, depth, budget, counter):
     budget hit)``.  Core nodes add up in ``counter[0]``, capped by ``budget``.
 
     The matched edges' vertex and colour bits are ORed once; each removal
-    subset XORs out its removed edges' bits.  That is exact only when the
-    matched edges share no vertex and no colour, so the union must hold 2k
-    vertex bits and k colour bits for k edges, or :class:`InvalidState`
-    is raised."""
+    subset XORs out its removed edges' bits.  That is exact because
+    :func:`_matched_bits` has checked that the matched edges share no
+    vertex and no colour."""
     medges = matching.edges
     k = len(medges)
-    bits = _matched_bits(graph, matching)
-    all_v = all_c = 0
-    for vbits, cb in bits:
-        all_v |= vbits
-        all_c |= cb
-    if all_v.bit_count() != 2 * k or all_c.bit_count() != k:
-        raise InvalidState("the matched edges must share no vertex and no colour")
+    bits, all_v, all_c = _matched_bits(graph, matching)
     for removals in range(1, min(depth, k) + 1):
         for removed_idx in combinations(range(k), removals):
             used_v, used_c = all_v, all_c
@@ -172,7 +177,8 @@ def rule_mono(graph: EdgeColoredGraph, matching: Matching) -> Matching | None:
     Pattern: matched xy of colour i, a free edge uv also coloured i, and
     an edge from x or y to a free vertex w outside {u, v} whose colour is
     absent from the matching.  Nets exactly one extra edge.  A matched edge
-    absent from the graph raises :class:`UnknownEdge`.
+    absent from the graph raises :class:`UnknownEdge`; matched edges that
+    share a vertex or a colour raise :class:`InvalidState`.
     """
     _matched_bits(graph, matching)
     used_v = matching.vertices

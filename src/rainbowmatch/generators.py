@@ -10,16 +10,26 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil, log
 
 from .errors import InfeasibleDegree, OrderTooLarge
-from .graphs import EdgeColoredGraph, _from_colour_bits, build_graph
+from .graphs import EdgeColoredGraph, _from_colour_rows, _vertex_bits, build_graph
 from .latin import LatinSquare
 
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """Uncoloured simple graph: edge pairs normalised to u < v, sorted."""
+    """Uncoloured simple graph: edge pairs normalised to u < v, sorted.
+
+    ``_rows``, the edge index that every colouring of the graph builds
+    from, is computed on first use and cached on the instance (outside the
+    fields, so ``==``, ``hash`` and ``repr`` ignore it).  It exists only
+    when ``n`` is a non-negative ``int`` and ``edges`` is a tuple of
+    ``(u, v)`` tuples of ``int`` with ``0 <= u < v < n`` in strictly
+    increasing order.  Those are immutable, and the fields of a frozen
+    dataclass are not reassigned, so the rows cannot go stale.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -27,6 +37,27 @@ class SimpleGraph:
     @staticmethod
     def from_pairs(n: int, pairs) -> "SimpleGraph":
         return SimpleGraph(n, tuple(sorted({(min(u, v), max(u, v)) for u, v in pairs})))
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, int, int, int], ...] | None:
+        """``(u, v, 1 << u, 1 << v)`` per edge, or None unless the graph is
+        in the canonical form above."""
+        n, edges = self.n, self.edges
+        if type(n) is not int or n < 0 or type(edges) is not tuple:
+            return None
+        vertex_bit = _vertex_bits(n, len(edges))
+        rows = []
+        prev_u = prev_v = 0
+        for pair in edges:
+            if type(pair) is not tuple or len(pair) != 2:
+                return None
+            u, v = pair
+            if not (type(u) is type(v) is int and v < n
+                    and (prev_v < v if u == prev_u else prev_u < u < v)):
+                return None
+            rows.append((u, v, vertex_bit[u], vertex_bit[v]))
+            prev_u, prev_v = u, v
+        return tuple(rows)
 
 
 def _sample(rng: random.Random, population, k: int) -> list:
@@ -127,17 +158,21 @@ def greedy_proper_coloring(graph: SimpleGraph, seed: int) -> EdgeColoredGraph:
     per-vertex mask, and the least free colour is the lowest clear bit of
     the union of the two endpoints' masks.  That bit is the colour's rank
     bit, and the colouring is proper by construction, so the graph is built
-    from the bits in one pass with no second properness test
-    (:func:`graphs._from_colour_bits`).  That pass checks the vertices:
-    unless the pairs are ``int`` pairs ``u < v < n`` in strictly increasing
-    order, the coloured edges go to the validating constructor, which
-    normalises them or raises.
+    from the bits in one pass with no check (:func:`graphs._from_colour_rows`),
+    over the base graph's cached edge index (``SimpleGraph._rows``): the
+    canonical-pair test and the vertex bits are paid once per base graph,
+    not once per colouring.  A graph with no index (pairs that are not
+    ``int`` tuples ``u < v < n`` in strictly increasing order in a tuple,
+    or an ``n`` that is not a non-negative ``int``) keeps its masks in a
+    ``defaultdict`` and hands the coloured edges to the validating
+    constructor, which normalises them or raises.
     """
     rng = random.Random(seed)
     edges = graph.edges
     order = list(range(len(edges)))
     _shuffle(rng, order)
-    at_vertex: defaultdict[int, int] = defaultdict(int)
+    rows = graph._rows
+    at_vertex = defaultdict(int) if rows is None else [0] * graph.n
     bits = [0] * len(edges)
     for idx in order:
         u, v = edges[idx]
@@ -146,7 +181,10 @@ def greedy_proper_coloring(graph: SimpleGraph, seed: int) -> EdgeColoredGraph:
         bits[idx] = bit
         at_vertex[u] |= bit
         at_vertex[v] |= bit
-    return _from_colour_bits(graph.n, edges, bits)
+    if rows is None:
+        return EdgeColoredGraph(graph.n, [(u, v, bit.bit_length())
+                                          for (u, v), bit in zip(edges, bits)])
+    return _from_colour_rows(graph.n, rows, bits)
 
 
 def one_factorization(k: int) -> EdgeColoredGraph:

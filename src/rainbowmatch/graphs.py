@@ -40,11 +40,14 @@ class EdgeColoredGraph:
     second route, so it is reported by the rules above.
 
     The greedy colouring (:func:`generators.greedy_proper_coloring`) skips
-    the constructor when its pairs are canonical.  Its colours are exactly
-    1..k and proper by construction, so each edge's colour bit is already
-    its rank bit and no clash can occur; :func:`_from_colour_bits` checks
-    only the canonical form and fills the same four slots in one pass.  Any
-    other input it hands to the constructor.
+    the constructor when its base graph has an edge index: rows
+    ``(u, v, 1 << u, 1 << v)``, built and cached once per base graph and
+    only for immutable canonical pairs (a tuple of ``int`` pair tuples,
+    ``0 <= u < v < n``, strictly increasing).  Its colours are exactly 1..k
+    and proper by construction, so each edge's colour bit is already its
+    rank bit and no clash can occur; :func:`_from_colour_rows` fills the
+    same four slots from the rows in one pass with no check.  Any other
+    input it hands to the constructor, on every call.
 
     ``colors`` is the frozenset of colours used.  ``options`` is the one
     adjacency table, filled by the pass that validates: for each incident
@@ -190,48 +193,36 @@ def _index(n: int, edges, ranks: list[int]) -> tuple[list[list[tuple[int, int, i
     return options, len(edges)
 
 
-def _from_colour_bits(n: int, pairs, bits: list[int]) -> EdgeColoredGraph:
-    """The graph of a greedy colouring: ``pairs[i]`` coloured by the bit
-    ``bits[i]``, colour ``bits[i].bit_length()``.
+def _from_colour_rows(n: int, rows, bits: list[int]) -> EdgeColoredGraph:
+    """The graph of a greedy colouring: edge ``i`` is the pair of
+    ``rows[i] = (u, v, 1 << u, 1 << v)``, coloured by the bit ``bits[i]``,
+    colour ``bits[i].bit_length()``.
 
-    Two facts about the greedy colouring stand in for the constructor's
-    work, and the colouring must give both:
+    Nothing is checked here.  The rows are the canonical edge index of the
+    base graph (``int`` pairs ``0 <= u < v < n`` in strictly increasing
+    order, see :class:`generators.SimpleGraph`), and two facts about the
+    greedy colouring stand in for the constructor's work:
 
     * The colours are exactly 1..k.  Colour c is given only when 1..c-1
       are all taken at an endpoint, so every colour below the largest is
       used.  The rank of colour c is c - 1, ``bits[i]`` is already its
       rank bit, and ``colors`` is ``frozenset(range(1, k + 1))``.
     * The colouring is proper: each bit was clear at both endpoints when it
-      was given, so the loop makes no properness test.
-
-    The loop checks each pair with :func:`_index`'s canonical test (``int``
-    endpoints, ``u < v < n``, strictly increasing pairs) and builds the
-    edges and the option table as it goes.  A vertex count that is not a
-    non-negative ``int``, or the first pair that fails the test, sends the
-    coloured triples to the constructor, which raises or normalises them.
+      was given.
     """
-    if type(n) is int and n >= 0:
-        vertex_bit = _vertex_bits(n, len(bits))
-        options: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        edges: list[Edge] = []
-        prev_u = prev_v = 0
-        for idx, (u, v) in enumerate(pairs):
-            if not (type(u) is type(v) is int and v < n
-                    and (prev_v < v if u == prev_u else prev_u < u < v)):
-                break
-            cb = bits[idx]
-            edges.append((u, v, cb.bit_length()))
-            options[u].append((vertex_bit[v], cb, idx))
-            options[v].append((vertex_bit[u], cb, idx))
-            prev_u, prev_v = u, v
-        else:
-            graph = EdgeColoredGraph.__new__(EdgeColoredGraph)
-            graph.n = n
-            graph.edges = tuple(edges)
-            graph.options = tuple(map(tuple, options))
-            graph.colors = frozenset(range(1, max(bits, default=0).bit_length() + 1))
-            return graph
-    return EdgeColoredGraph(n, [(u, v, cb.bit_length()) for (u, v), cb in zip(pairs, bits)])
+    options: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    edges: list[Edge] = []
+    for idx, (u, v, ub, vb) in enumerate(rows):
+        cb = bits[idx]
+        edges.append((u, v, cb.bit_length()))
+        options[u].append((vb, cb, idx))
+        options[v].append((ub, cb, idx))
+    graph = EdgeColoredGraph.__new__(EdgeColoredGraph)
+    graph.n = n
+    graph.edges = tuple(edges)
+    graph.options = tuple(map(tuple, options))
+    graph.colors = frozenset(range(1, max(bits, default=0).bit_length() + 1))
+    return graph
 
 
 def _violation(edges: list[Edge], stop: int, options) -> DuplicateEdge | ImproperColoring:

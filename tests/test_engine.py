@@ -11,6 +11,7 @@ from rainbowmatch import (
     Matching,
     RuleStep,
     UnknownEdge,
+    applicable_rules,
     audit_stuck_state,
     bound_n,
     build_graph,
@@ -119,6 +120,22 @@ def test_exchange_rejects_matched_edges_that_meet(matching):
     for depth in (0, 1, 3):
         with pytest.raises(InvalidState, match="share no vertex and no colour"):
             rule_exchange(g, Matching(matching), depth)
+
+
+@pytest.mark.parametrize("matching", [
+    pytest.param([(0, 1, 1), (1, 2, 2)], id="shared-vertex"),
+    pytest.param([(0, 1, 1), (3, 4, 1)], id="shared-colour")])
+def test_every_rule_rejects_matched_edges_that_meet(matching):
+    # Without the check, direct grows the shared-vertex pair by (4, 5, 3)
+    # into an edge set that is no matching.  applicable_rules asks direct
+    # first, so it raises at depth 0 as at depth 1.
+    g = build_graph(6, [(0, 1, 1), (1, 2, 2), (3, 4, 1), (4, 5, 3)])
+    for rule in (rule_direct, rule_mono):
+        with pytest.raises(InvalidState, match="share no vertex and no colour"):
+            rule(g, Matching(matching))
+    for depth in (0, 1):
+        with pytest.raises(InvalidState, match="share no vertex and no colour"):
+            applicable_rules(g, Matching(matching), None, depth)
 
 
 @pytest.mark.parametrize("n, nodes", [

@@ -23,6 +23,7 @@ from rainbowmatch import (
     random_latin,
     run_campaign,
 )
+from rainbowmatch import generators
 from rainbowmatch.generators import SimpleGraph, _sample, _shuffle
 
 from conftest import cells_csv, independent_is_proper, instances_csv
@@ -200,23 +201,65 @@ def test_small_campaign_files_are_pinned():
 
 
 def test_colouring_route_matches_the_validating_constructor():
-    # The colouring builds its graph from its own colour bits with no
-    # properness test; the validating constructor must store the same graph.
+    # The colouring builds its graph from its own colour bits and the base
+    # graph's cached edge index with no check; the validating constructor
+    # must store the same graph.  Each base graph is coloured three times,
+    # the later two from the index the first one cached.
     cases = 0
     for delta in range(2, 9):
         for n in range(2 * delta + 1, bound_n(delta) + 4):
             for prob in (0.0, 0.3):
                 for seed in (0, 1, 2 + n):
                     base = random_graph_min_degree(n, delta, seed, extra_edge_prob=prob)
-                    g = greedy_proper_coloring(base, seed)
-                    rebuilt = EdgeColoredGraph(g.n, list(g.edges))
-                    case = (delta, n, prob, seed)
-                    assert g.edges == rebuilt.edges, case
-                    assert g.options == rebuilt.options, case
-                    assert g.colors == rebuilt.colors, case
-                    assert independent_is_proper(g.n, g.edges), case
-                    cases += 1
-    assert cases == 558
+                    for cseed in (seed, seed + 1000, seed + 2000):
+                        g = greedy_proper_coloring(base, cseed)
+                        rebuilt = EdgeColoredGraph(g.n, list(g.edges))
+                        case = (delta, n, prob, seed, cseed)
+                        assert g.edges == rebuilt.edges, case
+                        assert g.options == rebuilt.options, case
+                        assert g.colors == rebuilt.colors, case
+                        assert independent_is_proper(g.n, g.edges), case
+                        cases += 1
+    assert cases == 1674
+
+
+def test_recolouring_one_base_graph_equals_colouring_fresh_copies():
+    # Seeds interleave across graphs, so each graph's index is reused after
+    # other graphs have been coloured.
+    bases = [random_graph_min_degree(n, delta, seed, extra_edge_prob=prob)
+             for n, delta, seed, prob in [(7, 2, 0, 0.0), (12, 4, 1, 0.3),
+                                          (21, 5, 2, 0.0), (9, 8, 3, 0.0)]]
+    for cseed in range(6):
+        for base in bases:
+            fresh = SimpleGraph(base.n, tuple(base.edges))
+            g = greedy_proper_coloring(base, cseed)
+            want = greedy_proper_coloring(fresh, cseed)
+            assert (g.edges, g.options, g.colors) == \
+                (want.edges, want.options, want.colors)
+
+
+def test_index_is_built_once_per_base_graph(monkeypatch):
+    made = []
+    real = generators._vertex_bits
+    monkeypatch.setattr(generators, "_vertex_bits",
+                        lambda n, m: made.append(n) or real(n, m))
+    base = random_graph_min_degree(9, 3, 0)
+    for cseed in range(4):
+        greedy_proper_coloring(base, cseed)
+    assert made == [9]
+    greedy_proper_coloring(SimpleGraph(base.n, base.edges), 0)
+    assert made == [9, 9]
+
+
+def test_colouring_keeps_the_base_graphs_equality_hash_and_repr():
+    base = random_graph_min_degree(9, 3, 4)
+    twin = SimpleGraph(base.n, base.edges)
+    before = (hash(base), repr(base))
+    greedy_proper_coloring(base, 0)
+    greedy_proper_coloring(base, 1)
+    assert base == twin and twin == base
+    assert (hash(base), repr(base)) == before == (hash(twin), repr(twin))
+    assert {base: 1}[twin] == 1
 
 
 # What the colouring returned or raised before it built its graph from its
@@ -227,12 +270,19 @@ def test_colouring_route_matches_the_validating_constructor():
     (4, ((2, 3), (0, 1), (1, 2)), ((0, 1, 1), (1, 2, 2), (2, 3, 1))),
     (3, ((1, 0),), ((0, 1, 1),)),
     (4, ((0, 1), (3, 2)), ((0, 1, 1), (2, 3, 1))),
+    # Canonical pairs that are not all tuples in a tuple get no index.
+    (3, [(0, 1), (1, 2)], ((0, 1, 1), (1, 2, 2))),
+    (3, ((0, 1), [1, 2]), ((0, 1, 1), (1, 2, 2))),
 ])
 def test_colouring_normalises_like_the_constructor(n, pairs, edges):
-    g = greedy_proper_coloring(SimpleGraph(n, pairs), 0)
-    assert g.edges == edges
-    assert g.options == EdgeColoredGraph(n, list(edges)).options
-    assert g.colors == frozenset(c for _u, _v, c in edges)
+    # Twice each: such a graph has no index, and its second colouring goes
+    # to the constructor again.
+    base = SimpleGraph(n, pairs)
+    for _ in range(2):
+        g = greedy_proper_coloring(base, 0)
+        assert g.edges == edges
+        assert g.options == EdgeColoredGraph(n, list(edges)).options
+        assert g.colors == frozenset(c for _u, _v, c in edges)
 
 
 @pytest.mark.parametrize("n, pairs, error, message", [
@@ -245,12 +295,33 @@ def test_colouring_normalises_like_the_constructor(n, pairs, edges):
     (3.0, (), ValueError, "vertex count must be an integer, got 3.0"),
     (-1, ((0, 1),), ValueError, "vertex count must be non-negative"),
     (-1, (), ValueError, "vertex count must be non-negative"),
+    (3, [(0, 1), (1, 3)], ValueError, "edge (1, 3) outside vertex range 0..2"),
+    (3, ((0, 1), [1, 1]), LoopEdge, "loop at vertex 1"),
 ])
 def test_colouring_raises_like_the_constructor(n, pairs, error, message):
-    with pytest.raises(Exception) as info:
-        greedy_proper_coloring(SimpleGraph(n, pairs), 0)
-    assert type(info.value) is error
-    assert str(info.value) == message
+    base = SimpleGraph(n, pairs)
+    for _ in range(2):
+        with pytest.raises(Exception) as info:
+            greedy_proper_coloring(base, 0)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
+def test_list_paired_graph_is_coloured_from_its_current_pairs():
+    # A list can change between colourings, so it is never indexed.
+    pairs = [(0, 1), (1, 2)]
+    base = SimpleGraph(3, pairs)
+    assert greedy_proper_coloring(base, 0).edges == ((0, 1, 1), (1, 2, 2))
+    pairs[1] = (0, 2)
+    assert greedy_proper_coloring(base, 0).edges == ((0, 1, 1), (0, 2, 2))
+    pairs.append((1, 3))
+    with pytest.raises(ValueError, match=r"edge \(1, 3\) outside vertex range 0..2"):
+        greedy_proper_coloring(base, 0)
+    pair = [1, 2]
+    base = SimpleGraph(3, ((0, 1), pair))
+    assert greedy_proper_coloring(base, 0).edges == ((0, 1, 1), (1, 2, 2))
+    pair[0] = 0
+    assert greedy_proper_coloring(base, 0).edges == ((0, 1, 1), (0, 2, 2))
 
 
 @pytest.mark.parametrize("pair, message", [
