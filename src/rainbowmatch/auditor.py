@@ -546,6 +546,20 @@ def certify_counting_bound(delta: int) -> CertResult:
     return _certify_from(delta, min(max(apex, 0), delta - 1))
 
 
+def chain_order(delta: int) -> int:
+    """n*(delta): the order from which the proof chain itself proves the
+    theorem, ``floor(certify_counting_bound(delta).worst_n) + 1``.
+
+    ``worst_n`` is the largest order at which a stuck state can meet every
+    count the audit checks, so if each link of the chain holds, no graph of
+    this order or more is stuck below ``delta``.  It is at most
+    :func:`~rainbowmatch.graphs.bound_n`.  A ``delta`` below 2 raises
+    ``ValueError``, as :func:`certify_counting_bound` does.
+    """
+    worst_n = certify_counting_bound(delta).worst_n
+    return worst_n.numerator // worst_n.denominator + 1
+
+
 def _certify_from(delta: int, start: int) -> CertResult:
     """The certificate of :func:`certify_counting_bound`, with the walk
     over good-pair counts started at ``start`` in 0..delta-1."""

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .auditor import chain_order
 from .engine import run_engine
 from .generators import greedy_proper_coloring, random_graph_min_degree
 from .errors import WrongWitness
@@ -63,7 +64,7 @@ class CampaignConfig:
     """Fully determines a campaign; equal configs give identical files."""
 
     deltas: tuple[int, ...]
-    n_rule: str = "bound"          # "bound", "bound+K", "bound-K" or "fixed:N"
+    n_rule: str = "bound"          # "bound", "bound+K", "bound-K", "fixed:N" or "chain"
     samples: int = 500
     recolorings: int = 3           # extra colourings per graph, beyond the first
     master_seed: int = 0
@@ -77,6 +78,8 @@ class CampaignConfig:
             return int(rule[len("fixed:"):])
         if rule == "bound":
             return bound_n(delta)
+        if rule == "chain":
+            return chain_order(delta)
         if rule.startswith("bound+"):
             return bound_n(delta) + int(rule[len("bound+"):])
         if rule.startswith("bound-"):

@@ -272,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deltas", default="2,3,4",
                    help="minimum degrees, e.g. 2,3,4 or 2..5")
     p.add_argument("--n-rule", default="bound", dest="n_rule",
-                   help="order rule: bound, bound+K, bound-K or fixed:N")
+                   help="order rule: bound, bound+K, bound-K, fixed:N or chain "
+                        "(the order the proof chain proves from)")
     p.add_argument("--samples", type=int, default=500,
                    help="random graphs per delta")
     p.add_argument("--recolorings", type=int, default=3,

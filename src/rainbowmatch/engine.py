@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetExceeded, InvalidState
-from .graphs import Edge, EdgeColoredGraph, Matching, _require_edges
+from .graphs import Edge, EdgeColoredGraph, Matching, _edge_of, _require_edges
 from .solver import SolveResult, _matching, _search, rainbow_matching_at_least
 
 RULE_SEED = "R-seed"
@@ -75,24 +75,23 @@ def greedy_rainbow(graph: EdgeColoredGraph) -> Matching:
 
 
 def _matched_bits(graph, matching):
-    """``(bits, all_v, all_c)``: each matched edge's two vertex bits and
-    colour bit off the option table, and their unions.  A matched edge
-    absent from the graph raises :class:`UnknownEdge`.  Matched edges that
-    share a vertex or a colour raise :class:`InvalidState`: for k edges the
-    unions must hold 2k vertex bits and k colour bits."""
+    """``(bits, used)``: each matched edge's mask (its option entry ORed
+    with its lower endpoint's bit: two vertex bits and a colour bit above
+    the ``n`` vertex bits), and their union.  A matched edge absent from
+    the graph raises :class:`UnknownEdge`.  Matched edges that share a
+    vertex or a colour raise :class:`InvalidState`: for k edges the union
+    must hold 3k bits."""
     _require_edges(graph, matching.edges)
     bits = []
     for u, v, _c in matching.edges:
-        bits.extend(((1 << u) | vb, cb) for vb, cb, _idx in graph.options[u]
-                    if vb == 1 << v)
-    all_v = all_c = 0
-    for vbits, cb in bits:
-        all_v |= vbits
-        all_c |= cb
-    k = len(bits)
-    if all_v.bit_count() != 2 * k or all_c.bit_count() != k:
+        vb = 1 << v
+        bits.extend((1 << u) | m for m in graph.options[u] if m & vb)
+    used = 0
+    for mask in bits:
+        used |= mask
+    if used.bit_count() != 3 * len(bits):
         raise InvalidState("the matched edges must share no vertex and no colour")
-    return bits, all_v, all_c
+    return bits, used
 
 
 def rule_direct(graph: EdgeColoredGraph, matching: Matching) -> Matching | None:
@@ -123,9 +122,10 @@ def rule_exchange(graph: EdgeColoredGraph, matching: Matching, depth: int = 3,
     :class:`UnknownEdge`.  A negative ``depth`` raises ``ValueError``, as
     in :func:`run_engine`; 0 tries no exchange.
 
-    The kept edges' masks are the union of every matched edge's vertex and
-    colour bits with the removed edges' bits XORed out, which is exact only
-    for a rainbow matching: matched edges that share a vertex or a colour
+    The kept edges' mask is the union of every matched edge's mask (its
+    vertex bits and its colour bit, as in the option table) with the
+    removed edges' masks XORed out, which is exact only for a rainbow
+    matching: matched edges that share a vertex or a colour
     raise :class:`InvalidState`, at any depth, as in every rule.
     """
     _check_depth(depth)
@@ -144,23 +144,21 @@ def _exchange(graph, matching, depth, budget, counter):
     """The walk behind :func:`rule_exchange`: ``(matching or None, removals,
     budget hit)``.  Core nodes add up in ``counter[0]``, capped by ``budget``.
 
-    The matched edges' vertex and colour bits are ORed once; each removal
-    subset XORs out its removed edges' bits.  That is exact because
-    :func:`_matched_bits` has checked that the matched edges share no
-    vertex and no colour."""
+    The matched edges' masks are ORed once into one used mask, vertices
+    with colours above them; each removal subset XORs out its removed
+    edges' masks.  That is exact because :func:`_matched_bits` has checked
+    that the matched edges share no vertex and no colour."""
     medges = matching.edges
     k = len(medges)
-    bits, all_v, all_c = _matched_bits(graph, matching)
+    bits, all_used = _matched_bits(graph, matching)
     for removals in range(1, min(depth, k) + 1):
         for removed_idx in combinations(range(k), removals):
-            used_v, used_c = all_v, all_c
+            used = all_used
             for i in removed_idx:
-                vbits, cb = bits[i]
-                used_v ^= vbits
-                used_c ^= cb
+                used ^= bits[i]
             chain, size, nodes, _events, budget_hit = _search(
                 graph, removals + 1,
-                None if budget is None else budget - counter[0], used_v, used_c)
+                None if budget is None else budget - counter[0], used)
             counter[0] += nodes
             if size > removals:
                 keep = [e for i, e in enumerate(medges) if i not in removed_idx]
@@ -190,11 +188,13 @@ def rule_mono(graph: EdgeColoredGraph, matching: Matching) -> Matching | None:
             if c != color or u in used_v or v in used_v:
                 continue
             for z in (x, y):
-                for _wb, _cb, idx in graph.options[z]:
-                    pendant = graph.edges[idx]
-                    w = pendant[1] if pendant[0] == z else pendant[0]
+                zb = 1 << z
+                for m in graph.options[z]:
+                    # The lowest bit of an entry is its other endpoint's.
+                    w = (m & -m).bit_length() - 1
                     if w in used_v or w == u or w == v:
                         continue
+                    pendant = _edge_of(graph.edges, zb | m)
                     if pendant[2] in used_c:
                         continue
                     keep = tuple(e for e in matching.edges if e != matched)
@@ -231,8 +231,9 @@ def rule_vertex_reduce(graph: EdgeColoredGraph, target: int,
         return None
     used_v = sub.vertices
     used_c = set(sub.colors)
-    for _wb, _cb, idx in graph.options[pivot]:
-        e = graph.edges[idx]
+    pivot_bit = 1 << pivot
+    for m in graph.options[pivot]:
+        e = _edge_of(graph.edges, pivot_bit | m)
         other = e[1] if e[0] == pivot else e[0]
         if other not in used_v and e[2] not in used_c:
             return Matching(sub.edges + (e,))

@@ -8,6 +8,7 @@ shared freely between concurrent workers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import itemgetter
 
 from .errors import DuplicateEdge, ImproperColoring, LoopEdge, UnknownEdge
@@ -51,10 +52,14 @@ class EdgeColoredGraph:
 
     ``colors`` is the frozenset of colours used.  ``options`` is the one
     adjacency table, filled by the pass that validates: for each incident
-    edge of a vertex, in increasing edge id, the other endpoint's bit
-    ``1 << w``, the colour's bit ``1 << rank`` (its rank among
-    ``sorted(colors)``) and the edge id.  Degrees, edge lookups and every
-    walk in the package read it.
+    edge of a vertex, in increasing edge id, one ``int`` mask
+    ``(1 << w) | (1 << rank) << n``, the other endpoint's bit with the
+    colour's bit (its rank among ``sorted(colors)``) above the ``n`` vertex
+    bits.  An entry is a plain ``int``, so a graph holds no object per edge
+    end that the cyclic garbage collector tracks.  Degrees and every walk
+    in the package read the table; a mask that holds both of an edge's
+    vertex bits names that edge in the sorted ``edges``
+    (:func:`_edge_of`), which is how a walk's witness is decoded.
     """
 
     __slots__ = ("n", "edges", "options", "colors")
@@ -82,10 +87,10 @@ class EdgeColoredGraph:
             colors = frozenset(map(itemgetter(2), edges))
             options, stop = _index(n, edges, sorted(colors))
             if stop < len(edges):
-                raise _violation(edges, stop, options)
+                raise _violation(edges, stop)
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(edges)
-        self.options: tuple[tuple[tuple[int, int, int], ...], ...] = tuple(map(tuple, options))
+        self.options: tuple[tuple[int, ...], ...] = tuple(map(tuple, options))
         self.colors = colors
 
     def degree(self, v: int) -> int:
@@ -96,11 +101,11 @@ class EdgeColoredGraph:
         given.  Vertices and colour must be ``int`` exactly: 1.0 and True
         equal 1 but name no vertex or colour."""
         if type(u) is type(v) is int and 0 <= u < self.n and 0 <= v < self.n:
-            bit = 1 << v
-            for w, _cb, idx in self.options[u]:
-                if w == bit:
-                    return color is None or (type(color) is int
-                                             and self.edges[idx][2] == color)
+            pair = (u, v) if u < v else (v, u)
+            edges = self.edges
+            i = bisect_left(edges, pair)
+            if i < len(edges) and edges[i][:2] == pair:
+                return color is None or (type(color) is int and edges[i][2] == color)
         return False
 
     def without_vertex(self, v: int) -> "EdgeColoredGraph":
@@ -155,7 +160,7 @@ def _vertex_bits(n: int, m: int) -> list[int] | _Bits:
     return [1 << w for w in range(n)] if n <= 2 * m else _Bits()
 
 
-def _index(n: int, edges, ranks: list[int]) -> tuple[list[list[tuple[int, int, int]]], int]:
+def _index(n: int, edges, ranks: list[int]) -> tuple[list[list[int]], int]:
     """Option table of ``edges`` read as canonical, and how many it holds.
 
     Canonical edges are tuples ``(u, v, colour)`` of ``int`` with
@@ -164,9 +169,10 @@ def _index(n: int, edges, ranks: list[int]) -> tuple[list[list[tuple[int, int, i
     The table stops before the first edge that breaks this form.  On sorted
     ``_normalised`` edges only a repeated pair or a colour clash can stop it.
     """
-    colour_bit = {c: 1 << r for r, c in enumerate(ranks)}
+    # Colour bits sit above the n vertex bits, as in the table.
+    colour_bit = {c: 1 << (n + r) for r, c in enumerate(ranks)}
     vertex_bit = _vertex_bits(n, len(edges))
-    options: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    options: list[list[int]] = [[] for _ in range(n)]
     seen = [0] * n
     prev_u = prev_v = 0
     for idx, edge in enumerate(edges):
@@ -187,8 +193,8 @@ def _index(n: int, edges, ranks: list[int]) -> tuple[list[list[tuple[int, int, i
             return options, idx
         seen[u] = at_u | cb
         seen[v] = at_v | cb
-        options[u].append((vertex_bit[v], cb, idx))
-        options[v].append((vertex_bit[u], cb, idx))
+        options[u].append(vertex_bit[v] | cb)
+        options[v].append(vertex_bit[u] | cb)
         prev_u, prev_v = u, v
     return options, len(edges)
 
@@ -206,17 +212,18 @@ def _from_colour_rows(n: int, rows, bits: list[int]) -> EdgeColoredGraph:
     * The colours are exactly 1..k.  Colour c is given only when 1..c-1
       are all taken at an endpoint, so every colour below the largest is
       used.  The rank of colour c is c - 1, ``bits[i]`` is already its
-      rank bit, and ``colors`` is ``frozenset(range(1, k + 1))``.
+      rank bit (shifted above the ``n`` vertex bits in the table), and
+      ``colors`` is ``frozenset(range(1, k + 1))``.
     * The colouring is proper: each bit was clear at both endpoints when it
       was given.
     """
-    options: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    options: list[list[int]] = [[] for _ in range(n)]
     edges: list[Edge] = []
-    for idx, (u, v, ub, vb) in enumerate(rows):
-        cb = bits[idx]
-        edges.append((u, v, cb.bit_length()))
-        options[u].append((vb, cb, idx))
-        options[v].append((ub, cb, idx))
+    for (u, v, ub, vb), bit in zip(rows, bits):
+        edges.append((u, v, bit.bit_length()))
+        cb = bit << n
+        options[u].append(vb | cb)
+        options[v].append(ub | cb)
     graph = EdgeColoredGraph.__new__(EdgeColoredGraph)
     graph.n = n
     graph.edges = tuple(edges)
@@ -225,16 +232,27 @@ def _from_colour_rows(n: int, rows, bits: list[int]) -> EdgeColoredGraph:
     return graph
 
 
-def _violation(edges: list[Edge], stop: int, options) -> DuplicateEdge | ImproperColoring:
+def _violation(edges: list[Edge], stop: int) -> DuplicateEdge | ImproperColoring:
     """The fault that stopped :func:`_index` on sorted ``_normalised``
     edges: a repeated pair, or else the earlier edge of the same colour at
     the lower endpoint, then at the upper one."""
     u, v, color = edge = edges[stop]
     if edges[stop - 1][:2] == (u, v):
         return DuplicateEdge(f"vertex pair ({u}, {v}) appears more than once")
-    for _w, _cb, i in options[u] + options[v]:
-        if edges[i][2] == color:
-            return ImproperColoring(edges[i], edge)
+    for x in (u, v):
+        for earlier in edges[:stop]:
+            if earlier[2] == color and x in earlier[:2]:
+                return ImproperColoring(earlier, edge)
+
+
+def _edge_of(edges: tuple[Edge, ...], mask: int) -> Edge:
+    """The edge of the sorted ``edges`` whose two vertex bits are the two
+    lowest bits of ``mask``: an option entry ORed with its vertex's bit, or
+    a walk's witness link.  Any bits above them (a colour's) are ignored."""
+    low = mask & -mask
+    rest = mask ^ low
+    pair = (low.bit_length() - 1, (rest & -rest).bit_length() - 1)
+    return edges[bisect_left(edges, pair)]
 
 
 def build_graph(n: int, edges) -> EdgeColoredGraph:

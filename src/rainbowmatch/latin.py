@@ -94,8 +94,9 @@ def graph_to_latin(graph: EdgeColoredGraph) -> LatinSquare:
         queue = [start]
         while queue:
             v = queue.pop()
-            for wb, _cb, _idx in graph.options[v]:
-                w = wb.bit_length() - 1
+            for m in graph.options[v]:
+                # The lowest bit of an entry is its other endpoint's.
+                w = (m & -m).bit_length() - 1
                 if side[w] == -1:
                     side[w] = 1 - side[v]
                     queue.append(w)
@@ -111,13 +112,15 @@ def graph_to_latin(graph: EdgeColoredGraph) -> LatinSquare:
     if len(graph.colors) != n:
         raise WrongColourCount(f"expected {n} colours, got {len(graph.colors)}")
     # Both sides have n vertices and there are n * n edges, so every row
-    # meets every column.  A colour's symbol is its rank plus one.
+    # meets every column.  An entry holds the column's bit and, above the
+    # graph.n vertex bits, the colour's rank bit; the symbol is the rank
+    # plus one.
     col_of = {1 << v: j for j, v in enumerate(cols)}
     cells = []
     for i in rows:
         row = [0] * n
-        for wb, cb, _idx in graph.options[i]:
-            row[col_of[wb]] = cb.bit_length()
+        for m in graph.options[i]:
+            row[col_of[m & -m]] = (m >> graph.n).bit_length()
         cells.append(row)
     return LatinSquare(cells)
 

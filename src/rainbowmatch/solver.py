@@ -5,9 +5,9 @@ engine's exchange.  At each node it takes the lowest free vertex and
 branches on how that vertex is covered: by one of its compatible edges
 (lowest edge id first), or by none.  Every matching has exactly one such
 choice at every vertex, so the tree holds each matching once.  The state
-of a node is a few ints: the matching size, the used-or-skipped vertices
-and the used colours as bitmasks.  The witness is a linked chain of edge
-ids, shared by every node below it.  A node is cut when the matching
+of a node is the matching size and one mask, the used-or-skipped vertices
+with the used colours above them.  The witness is a linked chain of edge
+masks, shared by every node below it.  A node is cut when the matching
 built so far plus an optimistic completion bound cannot reach what is
 needed (the incumbent plus one, or the target size).  The bound is the
 smaller of half the free vertices and the unused colours, two popcounts
@@ -23,24 +23,24 @@ exchange reads the tuple and builds neither.
 
 Counting walks the same tree without a colour cut or an incumbent, so
 on a Latin square's K_{n,n} encoding it is the independent oracle for
-``count_transversals``, which meets in the middle instead.  It packs each
-option once per call into one mask, the other endpoint's bit with the
-colour's bit shifted above the vertex bits, so a node is the edges still
-needed and one mask of used-or-skipped vertices and used colours.  A node
-that needs two edges visits its one-edge children in place rather than
-pushing them, and a one-edge node counts its last edge in place.  This
-changes only the order of the visits: the tree and its node total are
-those of the plain walk, and the budget counts the same nodes.
+``count_transversals``, which meets in the middle instead.  A node is the
+edges still needed and the same used mask.  A node that needs two edges
+visits its one-edge children in place rather than pushing them, and a
+one-edge node counts its last edge in place.  This changes only the order
+of the visits: the tree and its node total are those of the plain walk,
+and the budget counts the same nodes.
 
 Both walks read the graph's per-vertex option table, which
-:class:`~rainbowmatch.graphs.EdgeColoredGraph` fills while it validates,
-so a solve has no setup pass of its own; a count packs the table in one
-O(m) pass per call.  Colour bits are indexed by the colour's rank among
-the graph's colours, never by the colour value itself.  Each walk keeps
-an explicit stack, so no graph is too deep for it and the interpreter's
-recursion limit is never touched.  They are deterministic: identical
-inputs give identical trees, traces and node counts.  Each call is
-single-threaded; calls on different graphs can run concurrently.
+:class:`~rainbowmatch.graphs.EdgeColoredGraph` fills while it validates:
+one mask per option, the other endpoint's bit with the colour's bit
+above the ``n`` vertex bits.  An option fits a node when it shares no bit
+with the node's used mask, so neither walk has a setup pass of its own.
+Colour bits are indexed by the colour's rank among the graph's colours,
+never by the colour value itself.  Each walk keeps an explicit stack, so
+no graph is too deep for it and the interpreter's recursion limit is
+never touched.  They are deterministic: identical inputs give identical
+trees, traces and node counts.  Each call is single-threaded; calls on
+different graphs can run concurrently.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .graphs import EdgeColoredGraph, Matching
+from .graphs import EdgeColoredGraph, Matching, _edge_of
 
 
 @dataclass(frozen=True)
@@ -89,34 +89,36 @@ def _node_limit(node_budget: int | None):
 
 
 def _search(graph: EdgeColoredGraph, target: int | None,
-            node_budget: int | None, used_v: int = 0, used_c: int = 0):
+            node_budget: int | None, used: int = 0):
     """Vertex-branching branch and bound over the graph's option table.
 
     With ``target`` None the search maximises; otherwise it stops at the
-    first matching of ``target`` edges.  ``used_v`` and ``used_c`` mark
-    vertices and colours already taken, and the sizes counted are of the
-    edges added to them.
+    first matching of ``target`` edges.  ``used`` marks the vertices and,
+    above the ``n`` vertex bits, the colour ranks already taken, as in the
+    option table; the sizes counted are of the edges added to them.
     The search stops before it would visit node ``node_budget + 1``.
 
     Returns ``(chain, size, nodes, events, budget_hit)``: the witness chain
-    of the best matching found (``(edge id, rest of the chain)``, or None
+    of the best matching found (``(edge mask, rest of the chain)``, where
+    the edge mask is an option entry ORed with its vertex's bit, or None
     for none), its size, the nodes visited, the milestones as plain
     ``(event, size, node)`` tuples and whether the budget stopped the walk.
     :func:`_result` publishes a walk; the exchange reads the tuple as is.
     """
     limit = math.inf if node_budget is None else _node_limit(node_budget)
     options = graph.options
-    everyone = (1 << graph.n) - 1
-    colours = (1 << len(graph.colors)) - 1
+    n = graph.n
+    everyone = (1 << n) - 1
+    colours = ((1 << len(graph.colors)) - 1) << n
     maximise = target is None
     need = 1 if maximise else target
     nodes = best_size = 0
     best = None
     events = []
-    # A node is (size, used-or-skipped vertices, used colours, witness chain).
-    stack = [(0, used_v, used_c, None)]
+    # A node is (size, used-or-skipped vertices | used colours << n, witness chain).
+    stack = [(0, used, None)]
     while stack:
-        size, used_v, used_c, chain = stack.pop()
+        size, used, chain = stack.pop()
         if nodes >= limit:
             events.append(("budget", size, nodes))
             return best, best_size, nodes, events, True
@@ -128,29 +130,30 @@ def _search(graph: EdgeColoredGraph, target: int | None,
                 need = size + 1
             elif size >= need:   # a matching of the target size
                 return best, best_size, nodes, events, False
-        free = everyone ^ used_v
+        free = everyone & ~used
         room = free.bit_count()
         # Cut unless half the free vertices and the unused colours can
         # both still reach ``need``.
         if (size + (room >> 1) < need
-                or size + (colours & ~used_c).bit_count() < need):
+                or size + (colours & ~used).bit_count() < need):
             continue
         low = free & -free
         if size + ((room - 1) >> 1) >= need:
-            stack.append((size, used_v | low, used_c, chain))
+            stack.append((size, used | low, chain))
         size += 1
-        used_v |= low
-        for vb, cb, idx in reversed(options[low.bit_length() - 1]):
-            if free & vb and not used_c & cb:
-                stack.append((size, used_v | vb, used_c | cb, (idx, chain)))
+        used |= low
+        for m in reversed(options[low.bit_length() - 1]):
+            if not used & m:
+                stack.append((size, used | m, (low | m, chain)))
     return best, best_size, nodes, events, False
 
 
 def _matching(graph: EdgeColoredGraph, chain) -> Matching:
+    edges = graph.edges
     picked = []
     while chain is not None:
-        idx, chain = chain
-        picked.append(graph.edges[idx])
+        mask, chain = chain
+        picked.append(_edge_of(edges, mask))
     return Matching(picked)
 
 
@@ -214,10 +217,9 @@ def count_rainbow_matchings(graph: EdgeColoredGraph, size: int,
     Branches on the lowest free vertex: one child per compatible edge at
     it, and one that leaves it unmatched while the other free vertices can
     still hold the edges still needed.  There is no colour cut, so the
-    count is an independent oracle for transversal counting.  An option is
-    one mask, the other endpoint's bit with the colour's bit above the
-    ``n`` vertex bits, and it is compatible when it shares no bit with the
-    node's used-or-skipped mask.  A two-edge node visits each one-edge child
+    count is an independent oracle for transversal counting.  An option
+    (a mask of the graph's table) is compatible when it shares no bit with
+    the node's used-or-skipped mask.  A two-edge node visits each one-edge child
     in place instead of pushing it, and a one-edge node counts its last
     edge in place.  Only the visit order differs from a plain depth-first
     walk, so the tree and its node total stay the same.  Raises
@@ -229,9 +231,8 @@ def count_rainbow_matchings(graph: EdgeColoredGraph, size: int,
         return 0
     if size == 0:
         return 1
-    n = graph.n
-    packed = [tuple([vb | cb << n for vb, cb, _idx in opts]) for opts in graph.options]
-    everyone = (1 << n) - 1
+    options = graph.options
+    everyone = (1 << graph.n) - 1
     nodes = count = 0
     # A node is (edges still needed, used-or-skipped vertices | used colours << n).
     stack = [(size, 0)]
@@ -245,7 +246,7 @@ def count_rainbow_matchings(graph: EdgeColoredGraph, size: int,
         if room >> 1 < need:
             continue
         low = free & -free
-        opts = packed[low.bit_length() - 1]
+        opts = options[low.bit_length() - 1]
         if (room - 1) >> 1 >= need:
             stack.append((need, used | low))
         used |= low
@@ -271,7 +272,7 @@ def count_rainbow_matchings(graph: EdgeColoredGraph, size: int,
                 if split:
                     stack.append((1, child | child_low))
                 child |= child_low
-                for last in packed[child_low.bit_length() - 1]:
+                for last in options[child_low.bit_length() - 1]:
                     if not child & last:
                         count += 1
         else:

@@ -7,6 +7,7 @@ evidence rather than tautology.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from collections import defaultdict
@@ -14,6 +15,32 @@ from collections import defaultdict
 import pytest
 
 from rainbowmatch import CellResult, InstanceRecord, build_graph, records_to_csv
+
+
+# ------------------------------------------------------------ option table
+
+def packed_table(graph):
+    """The option table rebuilt from ``graph.edges`` alone: per vertex, for
+    each incident edge in edge-id order, ``(1 << w) | (1 << rank) << n``,
+    where w is the other endpoint and rank the colour's rank."""
+    rank = {c: r for r, c in enumerate(sorted({c for _u, _v, c in graph.edges}))}
+    table = [[] for _ in range(graph.n)]
+    for u, v, c in graph.edges:
+        colour = (1 << rank[c]) << graph.n
+        table[u].append((1 << v) | colour)
+        table[v].append((1 << u) | colour)
+    return tuple(tuple(row) for row in table)
+
+
+def assert_packed_table(graph):
+    """The graph's edges are sorted and its option table holds exactly
+    :func:`packed_table`, each entry a plain ``int`` that the cyclic
+    garbage collector does not track."""
+    assert list(graph.edges) == sorted(graph.edges)
+    assert graph.options == packed_table(graph)
+    for row in graph.options:
+        for entry in row:
+            assert type(entry) is int and not gc.is_tracked(entry)
 
 
 # ---------------------------------------------------------------- builders

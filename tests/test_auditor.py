@@ -16,6 +16,7 @@ from rainbowmatch import (
     applicable_rules,
     audit_state,
     audit_stuck_state,
+    bound_n,
     build_graph,
     certify_counting_bound,
     color_classes,
@@ -33,6 +34,7 @@ from rainbowmatch import auditor
 from rainbowmatch.auditor import (
     _best_at,
     _certify_from,
+    chain_order,
     _doubled_order_bound,
     _relaxation,
     _tuple_count,
@@ -944,3 +946,38 @@ def test_certify_rejects_a_non_integer_delta(delta):
     with pytest.raises(ValueError) as exc:
         certify_counting_bound(delta)
     assert repr(delta) in str(exc.value)
+
+
+# ------------------------------------------------------------- chain order
+
+# n*(d) for d = 2..20, the order from which the chain proves the theorem.
+CHAIN_ORDERS = (7, 11, 16, 20, 24, 29, 33, 37, 41, 46, 50, 54, 59, 63, 67,
+                72, 76, 81, 85)
+
+
+def test_chain_order_known_values():
+    assert tuple(chain_order(d) for d in range(2, 21)) == CHAIN_ORDERS
+    for d in range(2, 21):
+        worst_n = certify_counting_bound(d).worst_n
+        assert chain_order(d) - 1 <= worst_n < chain_order(d)
+
+
+def test_chain_order_sits_below_the_paper_order_and_steps_by_three():
+    # n*(d) is at most bound_n(d), and at least 2 below it from d = 22 on.
+    # A degree-cap step by induction on d needs n*(d) - 1 >= n*(d - 1):
+    # it holds with at least 3 to spare.
+    orders = {d: chain_order(d) for d in range(2, 5001)}
+    for d, n in orders.items():
+        assert n <= bound_n(d), d
+        if d >= 22:
+            assert n <= bound_n(d) - 2, d
+        if d >= 3:
+            assert n - 1 - orders[d - 1] >= 3, d
+
+
+@pytest.mark.parametrize("delta", [1, 0, -4, 2.0, True])
+def test_chain_order_rejects_what_certify_rejects(delta):
+    with pytest.raises(ValueError):
+        certify_counting_bound(delta)
+    with pytest.raises(ValueError):
+        chain_order(delta)

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -7,17 +8,23 @@ from rainbowmatch import (
     Matching,
     SolveResult,
     WrongWitness,
+    audit_stuck_state,
     bound_n,
     build_graph,
     campaign_to_json,
     campaigns,
+    count_rainbow_matchings,
     derive_seed,
+    dumps_graph,
     greedy_proper_coloring,
     lesaulnier_exception,
     lesaulnier_threshold,
+    max_rainbow_matching,
+    parse_graph,
     random_graph_min_degree,
     records_to_csv,
     run_campaign,
+    run_engine,
     solve_decision,
     to_json,
     wang_applies,
@@ -67,6 +74,10 @@ def test_n_rule_parsing():
     assert CampaignConfig(deltas=(2,), n_rule="bound+2").n_for(2) == 9
     assert CampaignConfig(deltas=(2,), n_rule="bound-1").n_for(3) == 10
     assert CampaignConfig(deltas=(2,), n_rule="fixed:9").n_for(5) == 9
+    chain = CampaignConfig(deltas=(2,), n_rule="chain")
+    assert [chain.n_for(d) for d in (2, 6, 20)] == [7, 24, 85]
+    with pytest.raises(ValueError, match="delta must be at least 2"):
+        chain.n_for(1)
     with pytest.raises(ValueError):
         CampaignConfig(deltas=(2,), n_rule="twice").n_for(2)
 
@@ -117,7 +128,7 @@ def test_node_budget_hit_is_inconclusive_never_ok_or_failure():
 
 def _wrong_witness(graph, k, *args, **kwargs):
     """A solver that reports size k with k edges that all meet vertex 0."""
-    edges = [graph.edges[i] for _wb, _cb, i in graph.options[0][:k]]
+    edges = [e for e in graph.edges if e[0] == 0][:k]
     return SolveResult(Matching(edges), k, True, 1)
 
 
@@ -186,3 +197,32 @@ def test_write_campaign_files(tmp_path):
     with pytest.raises(ValueError):
         write_campaign_files(result, tmp_path / "bad", fmt="xml")
 
+
+def _every_path():
+    """Parse, every solve, the counter, the engine, an audit and a small
+    campaign."""
+    base = random_graph_min_degree(16, 4, 1)
+    graph = parse_graph(dumps_graph(greedy_proper_coloring(base, 1)))
+    max_rainbow_matching(graph)
+    solve_decision(graph, 4)
+    count_rainbow_matchings(graph, 2)
+    run_engine(graph, 4)
+    audit_stuck_state(k4_one_factorization(), 2)
+    run_campaign(CampaignConfig(deltas=(2, 3), samples=2, recolorings=1,
+                                master_seed=1))
+
+
+def test_no_path_changes_the_garbage_collector_state():
+    # Graphs hold no collector-tracked object per edge end; no path may
+    # get the same effect by switching the collector off or moving its
+    # thresholds, from the default state or any other.
+    state = (gc.isenabled(), gc.get_threshold())
+    try:
+        for enabled, threshold in [(True, (700, 10, 10)), (False, (5, 3, 2))]:
+            (gc.enable if enabled else gc.disable)()
+            gc.set_threshold(*threshold)
+            _every_path()
+            assert (gc.isenabled(), gc.get_threshold()) == (enabled, threshold)
+    finally:
+        (gc.enable if state[0] else gc.disable)()
+        gc.set_threshold(*state[1])

@@ -201,7 +201,10 @@ def test_verify_rejects_counts_that_check_nothing(tmp_path, capsys):
 @pytest.mark.parametrize("flags, message", [
     pytest.param(["--prob", "7"],
                  "extra edge probability must lie in [0, 1], got 7.0", id="prob=7"),
-    pytest.param(["--n-rule", "bogus"], "bad n_rule: 'bogus'", id="n-rule=bogus")])
+    pytest.param(["--n-rule", "bogus"], "bad n_rule: 'bogus'", id="n-rule=bogus"),
+    # The chain order starts at d = 2, as the certificate does.
+    pytest.param(["--n-rule", "chain", "--deltas", "1"], "delta must be at least 2",
+                 id="n-rule=chain,deltas=1")])
 def test_verify_rejected_run_leaves_no_out_dir(flags, message, tmp_path, capsys):
     out = tmp_path / "newdir"
     assert main(["verify", "--deltas", "2", "--samples", "2",
@@ -210,6 +213,18 @@ def test_verify_rejected_run_leaves_no_out_dir(flags, message, tmp_path, capsys)
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_verify_at_the_chain_order(capsys):
+    assert main(["verify", "--n-rule", "chain", "--deltas", "2..6",
+                 "--samples", "2", "--seed", "1"]) == 0
+    cells = [dict(field.split("=") for field in line.split())
+             for line in capsys.readouterr().out.splitlines()
+             if line.startswith("delta=")]
+    assert [cell["n"] for cell in cells] == ["7", "11", "16", "20", "24"]
+    for cell in cells:
+        assert (cell["instances"], cell["ok"], cell["failures"],
+                cell["inconclusive"]) == ("8", "8", "0", "0")
 
 
 def test_verify_rejects_repeated_delta(tmp_path, capsys):

@@ -26,7 +26,7 @@ from rainbowmatch import (
 from rainbowmatch import generators
 from rainbowmatch.generators import SimpleGraph, _sample, _shuffle
 
-from conftest import cells_csv, independent_is_proper, instances_csv
+from conftest import assert_packed_table, cells_csv, independent_is_proper, instances_csv
 
 
 def degrees(simple):
@@ -219,6 +219,7 @@ def test_colouring_route_matches_the_validating_constructor():
                         assert g.options == rebuilt.options, case
                         assert g.colors == rebuilt.colors, case
                         assert independent_is_proper(g.n, g.edges), case
+                        assert_packed_table(g)
                         cases += 1
     assert cases == 1674
 

@@ -26,7 +26,14 @@ from rainbowmatch import (
 )
 from rainbowmatch import graphs
 
-from conftest import c4, k33_cyclic, k4_one_factorization, two_edge_path
+from conftest import (
+    assert_packed_table,
+    c4,
+    k33_cyclic,
+    k4_one_factorization,
+    packed_table,
+    two_edge_path,
+)
 
 
 # ------------------------------------------------------------ construction
@@ -107,8 +114,8 @@ def test_sparse_graph_with_many_vertices_builds_in_linear_memory():
             tracemalloc.stop()
         assert peak < 6_000_000
         assert g.edges == ((0, 39999, 1),)
-        assert g.options[0] == ((1 << 39999, 1, 0),)
-        assert g.options[39999] == ((1, 1, 0),)
+        assert g.options[0] == ((1 << 39999) | (1 << 40000),)
+        assert g.options[39999] == (1 | (1 << 40000),)
 
 
 def test_edges_normalised_lower_vertex_first():
@@ -165,6 +172,34 @@ def test_input_canonical_but_for_one_pair_is_sorted_and_indexed():
     g, h = build_graph(5, canonical), build_graph(5, swapped)
     assert h.edges == tuple(canonical)
     assert h.options == g.options and h.colors == g.colors
+
+
+def test_option_entries_pack_the_other_endpoint_and_the_colour_rank():
+    # The 4-cycle 0-1-2-3-0 coloured 1, 2, 3, 2 over n = 4 vertex bits:
+    # colour 1 is rank 0 (bit 4), 2 is rank 1 (bit 5), 3 is rank 2 (bit 6).
+    g = c4()
+    assert g.edges == ((0, 1, 1), (0, 3, 2), (1, 2, 2), (2, 3, 3))
+    assert g.options == (
+        (0b0010 | 1 << 4, 0b1000 | 1 << 5),
+        (0b0001 | 1 << 4, 0b0100 | 1 << 5),
+        (0b0010 | 1 << 5, 0b1000 | 1 << 6),
+        (0b0001 | 1 << 5, 0b0100 | 1 << 6),
+    )
+    # Colour values are never bit positions: only their ranks are.
+    h = build_graph(3, [(0, 1, 10 ** 6), (1, 2, 7)])
+    assert h.options == ((0b010 | 1 << 4,), (0b001 | 1 << 4, 0b100 | 1 << 3),
+                         (0b010 | 1 << 3,))
+    for graph in (g, h, k4_one_factorization(), k33_cyclic(), two_edge_path()):
+        assert_packed_table(graph)
+
+
+def test_edge_masks_decode_to_their_edges():
+    # An option entry ORed with its vertex's bit names its edge in the
+    # sorted edges, whichever endpoint it is read from.
+    g = k33_cyclic()
+    for v, row in enumerate(g.options):
+        at_v = [e for e in g.edges if v in e[:2]]
+        assert [graphs._edge_of(g.edges, (1 << v) | m) for m in row] == at_v
 
 
 def test_edgeless_graph_degrees_are_zero():
@@ -360,6 +395,8 @@ def test_canonical_route_agrees_with_the_sorting_route(case):
     if isinstance(built, EdgeColoredGraph):
         assert built.options == reference.options
         assert built.colors == reference.colors
+        assert_packed_table(built)
+        assert_packed_table(reference)
 
 
 @settings(max_examples=100)
@@ -367,7 +404,7 @@ def test_canonical_route_agrees_with_the_sorting_route(case):
 def test_canonical_edges_skip_normalising(g):
     with mock.patch.object(graphs, "_normalised", side_effect=AssertionError):
         assert build_graph(g.n, list(g.edges)) == g
-        assert build_graph(g.n, g.edges).options == g.options
+        assert build_graph(g.n, g.edges).options == g.options == packed_table(g)
 
 
 @settings(max_examples=100)
@@ -375,3 +412,26 @@ def test_canonical_edges_skip_normalising(g):
 def test_graph_equality_and_hash_agree(g):
     same = EdgeColoredGraph(g.n, list(reversed(g.edges)))
     assert same == g and hash(same) == hash(g)
+
+
+@settings(max_examples=100)
+@given(proper_graphs())
+def test_has_edge_agrees_with_a_brute_force_edge_set(g):
+    triples = {(u, v, c) for u, v, c in g.edges}
+    triples |= {(v, u, c) for u, v, c in g.edges}
+    pairs = {(u, v) for u, v, _c in triples}
+    colours = [0, *sorted(g.colors), max(g.colors, default=0) + 1]
+    vertices = range(-1, g.n + 1)
+    for u in vertices:
+        for v in vertices:
+            assert g.has_edge(u, v) == ((u, v) in pairs)
+            for c in colours:
+                assert g.has_edge(u, v, c) == ((u, v, c) in triples)
+    for u, v, c in g.edges:
+        # 1.0 and True equal 1 but name no vertex or colour.
+        assert not g.has_edge(float(u), v) and not g.has_edge(v, float(u))
+        assert not g.has_edge(u, v, float(c))
+        if u == 1:
+            assert not g.has_edge(True, v, c)
+        if c == 1:
+            assert not g.has_edge(u, v, True)

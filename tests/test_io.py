@@ -5,10 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowmatch import ParseError, dump_graph, dumps_graph, load_graph, parse_graph
+from rainbowmatch import (
+    EdgeColoredGraph,
+    ParseError,
+    dump_graph,
+    dumps_graph,
+    load_graph,
+    parse_graph,
+)
 from rainbowmatch import io as rio
 
-from conftest import k4_one_factorization
+from conftest import assert_packed_table, k4_one_factorization
 from test_graphs import outcome, proper_graphs
 
 
@@ -177,6 +184,9 @@ def test_plain_route_agrees_with_the_line_reader(text):
     with mock.patch.object(rio, "_parse_text", rio._parse_lines):
         reference = outcome(lambda: parse_graph(text))
     assert parsed == reference
+    if isinstance(parsed, EdgeColoredGraph):
+        assert_packed_table(parsed)
+        assert_packed_table(reference)
 
 
 @settings(max_examples=100)
