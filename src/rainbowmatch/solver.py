@@ -24,11 +24,8 @@ exchange reads the tuple and builds neither.
 Counting walks the same tree without a colour cut or an incumbent, so
 on a Latin square's K_{n,n} encoding it is the independent oracle for
 ``count_transversals``, which meets in the middle instead.  A node is the
-edges still needed and the same used mask.  A node that needs two edges
-visits its one-edge children in place rather than pushing them, and a
-one-edge node counts its last edge in place.  This changes only the order
-of the visits: the tree and its node total are those of the plain walk,
-and the budget counts the same nodes.
+edges still needed and the same used mask, and a one-edge node counts its
+last edge in place.
 
 Both walks read the graph's per-vertex option table, which
 :class:`~rainbowmatch.graphs.EdgeColoredGraph` fills while it validates:
@@ -105,7 +102,7 @@ def _search(graph: EdgeColoredGraph, target: int | None,
     ``(event, size, node)`` tuples and whether the budget stopped the walk.
     :func:`_result` publishes a walk; the exchange reads the tuple as is.
     """
-    limit = math.inf if node_budget is None else _node_limit(node_budget)
+    limit = _node_limit(node_budget)
     options = graph.options
     n = graph.n
     everyone = (1 << n) - 1
@@ -219,12 +216,9 @@ def count_rainbow_matchings(graph: EdgeColoredGraph, size: int,
     still hold the edges still needed.  There is no colour cut, so the
     count is an independent oracle for transversal counting.  An option
     (a mask of the graph's table) is compatible when it shares no bit with
-    the node's used-or-skipped mask.  A two-edge node visits each one-edge child
-    in place instead of pushing it, and a one-edge node counts its last
-    edge in place.  Only the visit order differs from a plain depth-first
-    walk, so the tree and its node total stay the same.  Raises
-    :class:`BudgetExceeded` before visiting node ``node_budget + 1``; a
-    negative budget raises ``ValueError``.
+    the node's used-or-skipped mask.  A one-edge node counts its last edge
+    in place.  Raises :class:`BudgetExceeded` before visiting node
+    ``node_budget + 1``; a negative budget raises ``ValueError``.
     """
     limit = _node_limit(node_budget)
     if size < 0:
@@ -254,27 +248,6 @@ def count_rainbow_matchings(graph: EdgeColoredGraph, size: int,
             for m in opts:
                 if not used & m:
                     count += 1
-        elif need == 2:
-            # This node passed its cut with room >= 4, so each child has
-            # room - 2 >= 2 free vertices and passes its own.  A child
-            # pushes its skip child when it has three.
-            split = room >= 5
-            for m in opts:
-                if used & m:
-                    continue
-                if nodes >= limit:
-                    raise BudgetExceeded(f"node budget {node_budget} hit while counting")
-                nodes += 1
-                child = used | m
-                # The child's lowest free vertex is the lowest clear bit:
-                # every vertex below it is used or skipped.
-                child_low = ~child & (child + 1)
-                if split:
-                    stack.append((1, child | child_low))
-                child |= child_low
-                for last in options[child_low.bit_length() - 1]:
-                    if not child & last:
-                        count += 1
         else:
             need -= 1
             for m in opts:

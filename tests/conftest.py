@@ -152,6 +152,32 @@ def brute_count_rainbow(graph, size: int) -> int:
     return count
 
 
+def reference_count_walk(graph, size: int) -> tuple[int, int]:
+    """``(count, nodes)`` of the counter's tree, walked recursively over
+    ``graph.options``: branch on the lowest free vertex, cut a node whose
+    free vertices cannot hold the edges still needed, leave the vertex
+    unmatched only while the others can, and count a one-edge node's last
+    edges without visiting them.  For ``size >= 1`` only."""
+    n = graph.n
+    nodes = 0
+
+    def visit(need, used):
+        nonlocal nodes
+        nodes += 1
+        free = [v for v in range(n) if not used >> v & 1]
+        if len(free) < 2 * need:
+            return 0
+        low = free[0]
+        total = visit(need, used | 1 << low) if len(free) > 2 * need else 0
+        used |= 1 << low
+        fits = [m for m in graph.options[low] if not used & m]
+        if need == 1:
+            return total + len(fits)
+        return total + sum(visit(need - 1, used | m) for m in fits)
+
+    return visit(size, 0), nodes
+
+
 def brute_max_matching(graph) -> int:
     """Maximum matching size ignoring colours, same subset scan."""
     edges = list(graph.edges)

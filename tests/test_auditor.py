@@ -21,6 +21,7 @@ from rainbowmatch import (
     certify_counting_bound,
     color_classes,
     greedy_proper_coloring,
+    max_rainbow_matching,
     min_degree,
     pick_mono_class,
     random_graph_min_degree,
@@ -42,6 +43,7 @@ from rainbowmatch.auditor import (
 
 from conftest import (
     as_pinned_audit,
+    cyclic_knn,
     k33_cyclic,
     k4_one_factorization,
     pendant_star,
@@ -504,6 +506,93 @@ def test_mono_class_listing_one_edge_twice_is_refused():
     assert len(mono) == 2
     with pytest.raises(InvalidState, match="must be a matching"):
         audit_state(g, matching, mono)
+
+
+def test_stuck_audits_never_get_an_empty_mono_class():
+    # A graph of minimum degree d needs at least d colours, so a stuck
+    # state below a target of at most d leaves one unused and the class
+    # passed to audit_state is never empty (it would fail order-inequality,
+    # as the glued K4s below show).
+    reports = [report for _g, _t, report in engine_stuck_states()]
+    reports += seeded_stuck_reports()
+    assert len(reports) == 39 + 551
+    for report in reports:
+        assert len(report.mono) > 0
+
+
+# ------------------------------------------------ every maximum state
+
+def glued_k4s():
+    """Two 1-factorised K4s sharing vertex 3: colours 1-3 on vertices 0-3
+    and 4-6 on vertices 3-6.  Minimum degree 3, optimum 2."""
+    k4 = [(0, 1, 1), (2, 3, 1), (0, 2, 2), (1, 3, 2), (0, 3, 3), (1, 2, 3)]
+    return build_graph(7, k4 + [(u + 3, v + 3, c + 3) for u, v, c in k4])
+
+
+def rainbow_matchings(graph, size):
+    """Every rainbow matching of ``size`` edges, as edge tuples in edge-id
+    order: a depth-first walk that adds only later edges avoiding the
+    vertices and colours already taken."""
+    edges = graph.edges
+
+    def extend(start, picked, verts, cols):
+        if len(picked) == size:
+            yield picked
+            return
+        for i in range(start, len(edges)):
+            u, v, c = edges[i]
+            if u not in verts and v not in verts and c not in cols:
+                yield from extend(i + 1, picked + (edges[i],),
+                                  verts | {u, v}, cols | {c})
+
+    yield from extend(0, (), frozenset(), frozenset())
+
+
+def maximum_state_audits(graph):
+    """``(matching, report)`` for every rainbow (d - 1)-matching of
+    a graph at optimum d - 1, d its minimum degree, with every colour
+    class the matching leaves unused as the mono class."""
+    d = min_degree(graph)
+    assert max_rainbow_matching(graph).size == d - 1
+    classes = sorted(color_classes(graph).items())
+    for edges in rainbow_matchings(graph, d - 1):
+        matching = Matching(edges)
+        used = set(matching.colors)
+        for colour, class_edges in classes:
+            if colour not in used:
+                yield matching, audit_state(graph, matching, Matching(class_edges), d)
+
+
+@pytest.mark.parametrize("graph, states, audits", [
+    (glued_k4s(), 27, 108),
+    (cyclic_knn(4), 32, 32),
+    (cyclic_knn(6), 288, 288),
+])
+def test_every_check_holds_on_every_maximum_state(graph, states, audits):
+    # The paper's claims are about any rainbow (d - 1)-matching of a graph
+    # with no rainbow d-matching, not only the one the engine stops at.
+    matchings = set()
+    count = 0
+    for matching, report in maximum_state_audits(graph):
+        matchings.add(matching.edges)
+        count += 1
+        assert [c.name for c in report.checks] == list(CHECK_NAMES)
+        failed = [c.name for c in report.checks if not c.holds]
+        assert failed == [], (matching.edges, report.mono_color, failed)
+    assert (len(matchings), count) == (states, audits)
+
+
+def test_an_empty_mono_class_fails_only_the_order_inequality():
+    # The state cannot arise from a stuck engine (the test above on stuck
+    # audits), but audit_state accepts it; with a = 0 the structural bound
+    # falls below d * n on every maximum state of the glued K4s.
+    g = glued_k4s()
+    states = list(rainbow_matchings(g, 2))
+    assert len(states) == 27
+    for edges in states:
+        report = audit_state(g, Matching(edges), Matching(), 3)
+        failed = [c.name for c in report.checks if not c.holds]
+        assert failed == ["order-inequality"], (edges, failed)
 
 
 # ----------------------------------------------------------- certification

@@ -30,6 +30,7 @@ from conftest import (
     k33_cyclic,
     k4_one_factorization,
     random_instance,
+    reference_count_walk,
 )
 from test_graphs import proper_graphs
 
@@ -195,7 +196,7 @@ def test_count_budget_boundary_is_exact():
     # Each counting tree's node total: the search may visit exactly
     # node_budget nodes, and raises one node short.  The totals pin the
     # tree itself, so a change to the branching, the cuts or the in-place
-    # visits that altered it shows here.
+    # count of last edges that altered it shows here.
     cases = [
         (cyclic_knn(5), 5, 15, 61),
         (cyclic_knn(6), 6, 0, 223),
@@ -205,9 +206,23 @@ def test_count_budget_boundary_is_exact():
         (greedy_proper_coloring(random_graph_min_degree(11, 4, 2), 2), 4, 1259, 2089),
     ]
     for g, size, count, nodes in cases:
+        assert reference_count_walk(g, size) == (count, nodes)
         assert count_rainbow_matchings(g, size, node_budget=nodes) == count
         with pytest.raises(BudgetExceeded):
             count_rainbow_matchings(g, size, node_budget=nodes - 1)
+    # The same on every size of small seeded graphs, whose totals the
+    # reference walk gives and whose counts the subset scan checks.
+    checked = 0
+    for seed in range(300):
+        g = random_instance(seed)
+        for size in range(1, g.n // 2 + 1):
+            count, nodes = reference_count_walk(g, size)
+            assert count == brute_count_rainbow(g, size), (seed, size)
+            assert count_rainbow_matchings(g, size, node_budget=nodes) == count
+            with pytest.raises(BudgetExceeded):
+                count_rainbow_matchings(g, size, node_budget=nodes - 1)
+            checked += 1
+    assert checked == 742
 
 
 def test_count_on_a_graph_wider_than_a_machine_word():
