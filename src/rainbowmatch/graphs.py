@@ -33,12 +33,14 @@ class EdgeColoredGraph:
     There are two routes to the same result.  A list or tuple already in
     canonical form (tuples of three ``int`` with ``0 <= u < v < n``, in
     strictly increasing pair order, as dumps, the generators and
-    :meth:`without_vertex` give) is validated and indexed in one loop.  Any
-    other input, and canonical-looking input that breaks the form or the
-    colouring part-way, is normalised and sorted first and then indexed by
-    the same loop.  Canonical input is its own normalised, sorted form, so
-    both routes store the same edges and table; every fault goes to the
-    second route, so it is reported by the rules above.
+    :meth:`without_vertex` give) is indexed in one loop that tests the
+    form, and the finished table is tested for properness once
+    (:func:`_index`).  Any other input, and canonical-looking input that
+    breaks the form part-way or the colouring anywhere, is normalised and
+    sorted first and then indexed by the same loop.  Canonical input is its
+    own normalised, sorted form, so both routes store the same edges and
+    table; every fault goes to the second route, and only there, on its
+    error path, does :func:`_violation` search for the fault to name.
 
     The greedy colouring (:func:`generators.greedy_proper_coloring`) skips
     the constructor when its base graph has an edge index: rows
@@ -51,8 +53,8 @@ class EdgeColoredGraph:
     input it hands to the constructor, on every call.
 
     ``colors`` is the frozenset of colours used.  ``options`` is the one
-    adjacency table, filled by the pass that validates: for each incident
-    edge of a vertex, in increasing edge id, one ``int`` mask
+    adjacency table, filled by the loop that tests the form: for each
+    incident edge of a vertex, in increasing edge id, one ``int`` mask
     ``(1 << w) | (1 << rank) << n``, the other endpoint's bit with the
     colour's bit (its rank among ``sorted(colors)``) above the ``n`` vertex
     bits.  An entry is a plain ``int``, so a graph holds no object per edge
@@ -69,7 +71,7 @@ class EdgeColoredGraph:
             raise ValueError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        canonical = False
+        options = None
         if type(edges) is list or type(edges) is tuple:
             try:
                 colors = frozenset(map(itemgetter(2), edges))
@@ -80,14 +82,13 @@ class EdgeColoredGraph:
                 # or compared.
                 positive = False
             if positive:
-                options, stop = _index(n, edges, ranks)
-                canonical = stop == len(edges)
-        if not canonical:
+                options = _index(n, edges, ranks)
+        if options is None:
             edges = _normalised(n, edges)
             colors = frozenset(map(itemgetter(2), edges))
-            options, stop = _index(n, edges, sorted(colors))
-            if stop < len(edges):
-                raise _violation(edges, stop)
+            options = _index(n, edges, sorted(colors))
+            if options is None:
+                raise _violation(edges)
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(edges)
         self.options: tuple[tuple[int, ...], ...] = tuple(map(tuple, options))
@@ -160,24 +161,28 @@ def _vertex_bits(n: int, m: int) -> list[int] | _Bits:
     return [1 << w for w in range(n)] if n <= 2 * m else _Bits()
 
 
-def _index(n: int, edges, ranks: list[int]) -> tuple[list[list[int]], int]:
-    """Option table of ``edges`` read as canonical, and how many it holds.
+def _index(n: int, edges, ranks: list[int]) -> list[list[int]] | None:
+    """Option table of ``edges``, or None unless they are canonical and
+    properly coloured.
 
     Canonical edges are tuples ``(u, v, colour)`` of ``int`` with
-    ``0 <= u < v < n``, in strictly increasing vertex-pair order, each colour
-    new at both endpoints; ``ranks`` is the sorted colour set, all at least 1.
-    The table stops before the first edge that breaks this form.  On sorted
-    ``_normalised`` edges only a repeated pair or a colour clash can stop it.
+    ``0 <= u < v < n``, in strictly increasing vertex-pair order; ``ranks``
+    is the sorted colour set, all at least 1.  The loop tests only that
+    form.  Properness is tested once on the finished table: each entry holds
+    exactly two bits, and the pair order rules out a repeated neighbour, so
+    a row's sum keeps all 2 * deg of its bits exactly when no colour repeats
+    at that vertex, since each repeat loses at least one bit to a carry.  On
+    sorted ``_normalised`` edges only a repeated pair or a colour clash
+    gives None.
     """
     # Colour bits sit above the n vertex bits, as in the table.
     colour_bit = {c: 1 << (n + r) for r, c in enumerate(ranks)}
     vertex_bit = _vertex_bits(n, len(edges))
     options: list[list[int]] = [[] for _ in range(n)]
-    seen = [0] * n
     prev_u = prev_v = 0
-    for idx, edge in enumerate(edges):
+    for edge in edges:
         if type(edge) is not tuple:
-            return options, idx
+            return None
         # A tuple that is not a triple raises here as it would in
         # _normalised, which every edge before it passes.
         u, v, color = edge
@@ -185,18 +190,14 @@ def _index(n: int, edges, ranks: list[int]) -> tuple[list[list[int]], int]:
         # colour lookup alone would take them for colour 1.
         if not (type(u) is type(v) is type(color) is int and v < n
                 and (prev_v < v if u == prev_u else prev_u < u < v)):
-            return options, idx
+            return None
         cb = colour_bit[color]
-        at_u = seen[u]
-        at_v = seen[v]
-        if (at_u | at_v) & cb:
-            return options, idx
-        seen[u] = at_u | cb
-        seen[v] = at_v | cb
         options[u].append(vertex_bit[v] | cb)
         options[v].append(vertex_bit[u] | cb)
         prev_u, prev_v = u, v
-    return options, len(edges)
+    if sum(map(int.bit_count, map(sum, options))) != 4 * len(edges):
+        return None
+    return options
 
 
 def _from_colour_rows(n: int, rows, bits: list[int]) -> EdgeColoredGraph:
@@ -232,17 +233,21 @@ def _from_colour_rows(n: int, rows, bits: list[int]) -> EdgeColoredGraph:
     return graph
 
 
-def _violation(edges: list[Edge], stop: int) -> DuplicateEdge | ImproperColoring:
-    """The fault that stopped :func:`_index` on sorted ``_normalised``
-    edges: a repeated pair, or else the earlier edge of the same colour at
-    the lower endpoint, then at the upper one."""
-    u, v, color = edge = edges[stop]
-    if edges[stop - 1][:2] == (u, v):
-        return DuplicateEdge(f"vertex pair ({u}, {v}) appears more than once")
-    for x in (u, v):
-        for earlier in edges[:stop]:
-            if earlier[2] == color and x in earlier[:2]:
-                return ImproperColoring(earlier, edge)
+def _violation(edges: list[Edge]) -> DuplicateEdge | ImproperColoring:
+    """The first fault of sorted ``_normalised`` edges that :func:`_index`
+    rejects: a repeated pair, or else the earlier edge of the same colour
+    at the lower endpoint, then at the upper one."""
+    first: dict[tuple[int, int], Edge] = {}
+    pair = None
+    for edge in edges:
+        u, v, color = edge
+        if edge[:2] == pair:
+            return DuplicateEdge(f"vertex pair ({u}, {v}) appears more than once")
+        pair = edge[:2]
+        for key in ((u, color), (v, color)):
+            if key in first:
+                return ImproperColoring(first[key], edge)
+        first[u, color] = first[v, color] = edge
 
 
 def _edge_of(edges: tuple[Edge, ...], mask: int) -> Edge:

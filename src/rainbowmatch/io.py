@@ -15,8 +15,9 @@ round trips are byte-exact.
 A plain text file, a ``g`` line and then one ``e`` record per line with no
 comment, is read from a single whitespace split with each distinct field
 converted to ``int`` once.  Any other text, and any field ``int`` rejects,
-goes to the line-by-line reader.  The plain route checks that the split
-lines up with the lines, so both routes read the same records; the
+goes to the line-by-line reader.  The plain route counts the line breaks
+of the raw text to check that the split lines up with the lines the
+line-by-line reader would see, so both routes read the same records; the
 line-by-line reader is the only one that raises :class:`ParseError` for the
 text itself, so every message and line number comes from it.
 
@@ -70,21 +71,25 @@ def _parse_text(text: str) -> EdgeColoredGraph:
 
 def _plain_records(text: str) -> tuple[int, list[tuple[int, int, int]]] | None:
     """``n`` and the edge triples of a plain text file, or None for any
-    other text.  Its token and line lists are gone before the graph is
-    built."""
+    other text.  Its token list is gone before the graph is built."""
     tokens = text.split()
     k, rest = divmod(len(tokens) - 2, 4)
-    lines = text.splitlines()
-    # Every line break is whitespace to split(), so the lines cut the tokens
-    # in order.  Say there are k + 1 lines, the first starts with a 'g' field,
-    # the k others with an 'e' field (each '\n' of the join starts one of
-    # them: no line holds a '\n'), and int() takes token 1 and every token in
-    # tokens[3::4], [4::4] and [5::4].  Then the k 'e' starts can only be the
-    # k tokens at 2, 6, 10, ...: the header is tokens[0:2] and each other
-    # line one whole record, as the line reader takes them.  A '#' could only
-    # sit in a token that int() rejects.
-    if (rest or len(lines) != k + 1 or not text.startswith("g ")
-            or "\n".join(lines).count("\ne ") != k):
+    # The line reader splits with str.splitlines().  With every '\r' in a
+    # '\r\n' and none of its other breaks (the last test), its lines end at
+    # the '\n's: the count test gives k + 1 lines, and each '\ne ' starts
+    # one of the k after the first with an 'e' field.  Every line break is
+    # whitespace to split(), so the lines cut the tokens in order.  Say the
+    # first line starts with a 'g' field, and int() takes token 1 and every
+    # token in tokens[3::4], [4::4] and [5::4].  Then the k 'e' starts can
+    # only be the k tokens at 2, 6, 10, ...: the header is tokens[0:2] and
+    # each other line one whole record, as the line reader takes them.  A
+    # '#' could only sit in a token that int() rejects.
+    if (rest or not text.startswith("g ")
+            or text.count("\n") != k + text.endswith("\n")
+            or text.count("\ne ") != k
+            or "\r" in text and text.count("\r") != text.count("\r\n")
+            or any(map(text.__contains__,
+                       "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))):
         return None
     field = _Ints().__getitem__
     try:
@@ -159,11 +164,11 @@ def dumps_graph(graph: EdgeColoredGraph, fmt: str = "text") -> str:
 
 
 def load_graph(path) -> EdgeColoredGraph:
-    return parse_graph(Path(path).read_text())
+    return parse_graph(Path(path).read_text(encoding="utf-8"))
 
 
 def dump_graph(graph: EdgeColoredGraph, path, fmt: str = "text") -> None:
-    Path(path).write_text(dumps_graph(graph, fmt))
+    Path(path).write_text(dumps_graph(graph, fmt), encoding="utf-8")
 
 
 def to_json(value):

@@ -211,4 +211,4 @@ def dumps_square(square: LatinSquare) -> str:
 def load_square(path) -> LatinSquare:
     from pathlib import Path
 
-    return parse_square(Path(path).read_text())
+    return parse_square(Path(path).read_text(encoding="utf-8"))

@@ -9,11 +9,16 @@ from __future__ import annotations
 
 import gc
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
+import rainbowmatch
 from rainbowmatch import CellResult, InstanceRecord, build_graph, records_to_csv
 
 
@@ -251,6 +256,19 @@ def as_pinned_audit(payload: dict) -> dict:
         "holds": True, "name": "good-nice-inclusion",
         "note": "every good edge is nice by construction", "witness": []})
     return payload
+
+
+# --------------------------------------------------------- subprocesses
+
+def fresh_interpreter(script: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter, started with ``flags``, that
+    imports this package."""
+    env = dict(os.environ)
+    src = str(Path(rainbowmatch.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 # ---------------------------------------------------------------- fixtures

@@ -1,13 +1,9 @@
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import rainbowmatch
 from rainbowmatch import (
     Matching,
     SolveResult,
@@ -27,6 +23,7 @@ from rainbowmatch.latin import cyclic_square
 from conftest import (
     as_pinned_audit,
     c4,
+    fresh_interpreter,
     k4_one_factorization,
     k33_cyclic,
     pendant_star,
@@ -265,22 +262,12 @@ def test_certify_range(capsys):
     assert lines[0] == CERTIFY_DELTA_2_LINE
 
 
-def _fresh_interpreter(script: str) -> subprocess.CompletedProcess:
-    """Run ``script`` in a new interpreter that imports this package."""
-    env = dict(os.environ)
-    src = str(Path(rainbowmatch.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
-
-
 def test_certify_runs_without_numpy():
     # numpy = None in sys.modules makes every "import numpy" raise.
-    proc = _fresh_interpreter("import sys\n"
-                              "sys.modules['numpy'] = None\n"
-                              "import rainbowmatch, rainbowmatch.cli\n"
-                              "sys.exit(rainbowmatch.cli.main(['certify', '2..5']))\n")
+    proc = fresh_interpreter("import sys\n"
+                             "sys.modules['numpy'] = None\n"
+                             "import rainbowmatch, rainbowmatch.cli\n"
+                             "sys.exit(rainbowmatch.cli.main(['certify', '2..5']))\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == CERTIFY_DELTA_2_LINE
 
@@ -484,7 +471,7 @@ def test_shared_parser_keeps_calls_apart(tmp_path, capsys):
     here, fresh = tmp_path / "here", tmp_path / "fresh"
     assert main(plain + ["--out", str(here)]) == 0
     out = capsys.readouterr().out
-    proc = _fresh_interpreter(
+    proc = fresh_interpreter(
         "import sys, rainbowmatch.cli\n"
         f"sys.exit(rainbowmatch.cli.main({plain + ['--out', str(fresh)]!r}))\n")
     assert proc.returncode == 0, proc.stderr

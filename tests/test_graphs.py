@@ -399,6 +399,69 @@ def test_canonical_route_agrees_with_the_sorting_route(case):
         assert_packed_table(reference)
 
 
+def first_fault(edges):
+    """Reference for the constructor's fault naming: the first repeated
+    pair or colour clash of the sorted, normalised edges, as a type and a
+    message, with the earlier edge at the lower endpoint named first; None
+    for a proper simple graph."""
+    ordered = sorted((min(u, v), max(u, v), c) for u, v, c in edges)
+    for i, (u, v, c) in enumerate(ordered):
+        if i and ordered[i - 1][:2] == (u, v):
+            return DuplicateEdge, f"vertex pair ({u}, {v}) appears more than once"
+        for x in (u, v):
+            for e in ordered[:i]:
+                if e[2] == c and x in e[:2]:
+                    return (ImproperColoring, f"edges {e} and {(u, v, c)} "
+                            f"share a vertex and colour {c}")
+    return None
+
+
+@st.composite
+def clashing_edge_lists(draw):
+    """Edge lists of proper graphs with planted repeated pairs and colour
+    clashes: anywhere, at the last canonical edge only, or at an upper
+    endpoint only; then kept canonical, shuffled or with some pairs
+    reversed, as a list or a tuple."""
+    g = draw(proper_graphs(max_n=7))
+    edges = list(g.edges)
+    for _ in range(draw(st.integers(1, 3)) if edges else 0):
+        kind = draw(st.sampled_from(["repeat", "clash", "last", "upper"]))
+        i = len(edges) - 1 if kind == "last" else draw(
+            st.integers(0, len(edges) - 1))
+        u, v, c = edges[i]
+        if kind == "repeat":
+            edges.insert(draw(st.integers(0, len(edges))),
+                         (u, v, draw(st.integers(1, 4))))
+            continue
+        at = {x: {e[2] for j, e in enumerate(edges) if j != i and x in e[:2]}
+              for x in (u, v)}
+        palette = sorted(at[v] - at[u] if kind == "upper" else at[u] | at[v])
+        if palette:
+            edges[i] = (u, v, draw(st.sampled_from(palette)))
+    order = draw(st.sampled_from(["canonical", "shuffled", "reversed"]))
+    if order == "shuffled":
+        edges = draw(st.permutations(edges))
+    elif order == "reversed":
+        edges = [(v, u, c) if draw(st.booleans()) else (u, v, c)
+                 for u, v, c in edges]
+    return g.n, draw(st.sampled_from([list, tuple]))(edges)
+
+
+@settings(max_examples=300)
+@given(clashing_edge_lists())
+def test_first_fault_matches_a_reference_search(case):
+    n, edges = case
+    built = outcome(lambda: build_graph(n, edges))
+    expected = first_fault(edges)
+    if expected is None:
+        assert isinstance(built, EdgeColoredGraph)
+        assert built.edges == tuple(sorted(
+            (min(u, v), max(u, v), c) for u, v, c in edges))
+        assert_packed_table(built)
+    else:
+        assert built == expected
+
+
 @settings(max_examples=100)
 @given(proper_graphs())
 def test_canonical_edges_skip_normalising(g):

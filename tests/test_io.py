@@ -1,4 +1,5 @@
 import json
+import sys
 from unittest import mock
 
 import pytest
@@ -15,7 +16,7 @@ from rainbowmatch import (
 )
 from rainbowmatch import io as rio
 
-from conftest import assert_packed_table, k4_one_factorization
+from conftest import assert_packed_table, fresh_interpreter, k4_one_factorization
 from test_graphs import outcome, proper_graphs
 
 
@@ -134,6 +135,28 @@ def test_file_round_trip(tmp_path):
     assert load_graph(jpath) == g
 
 
+def test_files_are_read_and_written_as_utf8(tmp_path):
+    # Under these two flags any open() that leaves the encoding to the
+    # locale raises.  A warning filter inside the suite cannot show this:
+    # installed plugins open files with the locale's encoding themselves.
+    script = f"d = {str(tmp_path)!r}\n" + r"""
+from pathlib import Path
+import rainbowmatch as rm
+d = Path(d)
+g = rm.build_graph(3, [(0, 1, 1), (1, 2, 2)])
+rm.dump_graph(g, d / "g.txt")
+assert rm.load_graph(d / "g.txt") == g
+(d / "c.txt").write_bytes("# caf\u00e9\ng 2\ne 0 1 1\n".encode())
+assert rm.load_graph(d / "c.txt").edges == ((0, 1, 1),)
+square = rm.cyclic_square(3)
+(d / "s.txt").write_bytes(("# \u00b5\n" + rm.dumps_square(square)).encode())
+assert rm.load_square(d / "s.txt") == square
+"""
+    proc = fresh_interpreter(script, "-X", "warn_default_encoding",
+                             "-W", "error::EncodingWarning")
+    assert proc.returncode == 0, proc.stderr
+
+
 @settings(max_examples=100)
 @given(proper_graphs())
 def test_round_trip_any_graph_both_formats(g):
@@ -142,14 +165,19 @@ def test_round_trip_any_graph_both_formats(g):
 
 
 MUTATIONS = ("comment", "blank", "indent", "join", "split", "plus", "zero",
-             "repeat")
+             "repeat", "break")
+
+# Every line break of str.splitlines(), the line reader's split.
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029")
 
 
 @st.composite
 def mutated_dumps(draw):
     """Text dumps of proper graphs with comment and blank lines, indents,
     two records on one line, a record split over two lines, '+3' and '03'
-    fields and repeated records, each line ended by LF, CRLF or form feed."""
+    fields, repeated records and a line break inside a record, each line
+    ended by any line break of str.splitlines()."""
     lines = dumps_graph(draw(proper_graphs())).splitlines()
     for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
         i = draw(st.integers(0, len(lines) - 1))
@@ -170,7 +198,11 @@ def mutated_dumps(draw):
             lines[i] = " ".join(fields)
         elif kind == "repeat":
             lines.insert(i, lines[i])
-    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\x0c"]),
+        elif kind == "break" and len(fields) > 1:
+            j = draw(st.integers(1, len(fields) - 1))
+            lines[i] = (" ".join(fields[:j]) + draw(st.sampled_from(LINE_BREAKS))
+                        + " ".join(fields[j:]))
+    ends = draw(st.lists(st.sampled_from(LINE_BREAKS),
                          min_size=len(lines), max_size=len(lines)))
     return "".join(line + end for line, end in zip(lines, ends))
 
@@ -187,6 +219,22 @@ def test_plain_route_agrees_with_the_line_reader(text):
     if isinstance(parsed, EdgeColoredGraph):
         assert_packed_table(parsed)
         assert_packed_table(reference)
+
+
+def test_line_breaks_are_every_break_of_splitlines():
+    breaks = {c for c in map(chr, range(sys.maxunicode + 1))
+              if len(f"a{c}b".splitlines()) == 2}
+    assert breaks == set("".join(LINE_BREAKS))
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=[
+    "-".join(f"U+{ord(c):04X}" for c in brk) for brk in LINE_BREAKS])
+def test_a_line_break_inside_a_record_goes_to_the_line_reader(brk):
+    # Token and record counts match a plain file here; only the break
+    # cuts the record, and the line reader names the line it cut.
+    with pytest.raises(ParseError) as exc:
+        parse_graph(f"g 2\ne 0{brk}1 1\n")
+    assert str(exc.value) == "line 2: expected 'e <u> <v> <colour>'"
 
 
 @settings(max_examples=100)
