@@ -21,11 +21,12 @@ visited, the milestones (each new incumbent and a budget stop) as plain
 :class:`SolveResult` whose trace holds :class:`SearchEvent` entries; the
 exchange reads the tuple and builds neither.
 
-Counting walks the same tree without a colour cut or an incumbent, so
+Counting builds the same tree without a colour cut or an incumbent, so
 on a Latin square's K_{n,n} encoding it is the independent oracle for
 ``count_transversals``, which meets in the middle instead.  A node is the
 edges still needed and the same used mask, and a one-edge node counts its
-last edge in place.
+last edge in place.  Equal states have equal subtrees, so the counter
+expands each distinct state once, with its number of tree nodes.
 
 Both walks read the graph's per-vertex option table, which
 :class:`~rainbowmatch.graphs.EdgeColoredGraph` fills while it validates:
@@ -33,11 +34,12 @@ one mask per option, the other endpoint's bit with the colour's bit
 above the ``n`` vertex bits.  An option fits a node when it shares no bit
 with the node's used mask, so neither walk has a setup pass of its own.
 Colour bits are indexed by the colour's rank among the graph's colours,
-never by the colour value itself.  Each walk keeps an explicit stack, so
-no graph is too deep for it and the interpreter's recursion limit is
-never touched.  They are deterministic: identical inputs give identical
-trees, traces and node counts.  Each call is single-threaded; calls on
-different graphs can run concurrently.
+never by the colour value itself.  The search keeps an explicit stack
+and the counter its merged levels, so no graph is too deep for either and
+the interpreter's recursion limit is never touched.  Both are
+deterministic: identical inputs give identical trees, traces and node
+counts.  Each call is single-threaded; calls on different graphs can run
+concurrently.
 """
 
 from __future__ import annotations
@@ -217,40 +219,53 @@ def count_rainbow_matchings(graph: EdgeColoredGraph, size: int,
     count is an independent oracle for transversal counting.  An option
     (a mask of the graph's table) is compatible when it shares no bit with
     the node's used-or-skipped mask.  A one-edge node counts its last edge
-    in place.  Raises :class:`BudgetExceeded` before visiting node
-    ``node_budget + 1``; a negative budget raises ``ValueError``.
+    in place.  A node's subtree depends only on its state, the edges still
+    needed and the used mask, so each distinct state is expanded once with
+    its number of tree nodes, and the node total is the plain tree's.
+    Raises :class:`BudgetExceeded` when the tree holds more than
+    ``node_budget`` nodes; a negative budget raises ``ValueError``.  The
+    states of two levels are held at once: on a random order-9 square's
+    encoding they peak at 0.6 MB for size 9 and 9.6 MB for size 6.
     """
     limit = _node_limit(node_budget)
     if size < 0:
         return 0
     if size == 0:
         return 1
-    options = graph.options
-    everyone = (1 << graph.n) - 1
-    nodes = count = 0
-    # A node is (edges still needed, used-or-skipped vertices | used colours << n).
-    stack = [(size, 0)]
-    while stack:
-        need, used = stack.pop()
-        if nodes >= limit:
+    n = graph.n
+    if n < 2 * size:   # no room at the root, so the tree is that one node
+        if limit < 1:
             raise BudgetExceeded(f"node budget {node_budget} hit while counting")
-        nodes += 1
-        free = everyone & ~used
-        room = free.bit_count()
-        if room >> 1 < need:
-            continue
-        low = free & -free
-        opts = options[low.bit_length() - 1]
-        if (room - 1) >> 1 >= need:
-            stack.append((need, used | low))
-        used |= low
-        if need == 1:
-            for m in opts:
-                if not used & m:
-                    count += 1
-        else:
-            need -= 1
-            for m in opts:
-                if not used & m:
-                    stack.append((need, used | m))
+        return 0
+    options = graph.options
+    everyone = (1 << n) - 1
+    spare = n - 2 * size   # the vertices a matching of ``size`` leaves free
+    nodes = count = 0
+    # Levels go by edges still needed, from ``size`` down.  below[s] maps
+    # each used mask of the next level that left s vertices unmatched to
+    # its number of tree nodes; a skip child leaves one more than its
+    # parent, so each state is complete before the sweep reaches it.
+    below = [{0: 1}] + [{} for _ in range(spare)]
+    for need in range(size, 0, -1):
+        level, below = below, [{} for _ in range(spare + 1)]
+        for skips, states in enumerate(level):
+            child = below[skips]
+            for used, k in states.items():
+                nodes += k
+                if nodes > limit:
+                    raise BudgetExceeded(f"node budget {node_budget} hit while counting")
+                free = everyone & ~used
+                low = free & -free
+                opts = options[low.bit_length() - 1]
+                used |= low
+                if skips < spare:
+                    skip = level[skips + 1]
+                    skip[used] = skip.get(used, 0) + k
+                if need == 1:
+                    count += k * sum([not used & m for m in opts])
+                    continue
+                for m in opts:
+                    if not used & m:
+                        m |= used
+                        child[m] = child.get(m, 0) + k
     return count

@@ -11,6 +11,8 @@ from rainbowmatch import (
     bound_n,
     build_graph,
     count_rainbow_matchings,
+    count_transversals,
+    cyclic_square,
     greedy_proper_coloring,
     is_rainbow_matching,
     latin_to_graph,
@@ -193,10 +195,11 @@ def test_count_perfect_on_k33_matches_transversals():
 
 
 def test_count_budget_boundary_is_exact():
-    # Each counting tree's node total: the search may visit exactly
-    # node_budget nodes, and raises one node short.  The totals pin the
-    # tree itself, so a change to the branching, the cuts or the in-place
-    # count of last edges that altered it shows here.
+    # Each counting tree's node total: the counter passes when the tree
+    # holds exactly node_budget nodes, and raises one node short.  Merged
+    # states carry their number of tree nodes, so the totals still pin the
+    # tree itself: a change to the branching, the cuts, the in-place count
+    # of last edges or the merging that altered it shows here.
     cases = [
         (cyclic_knn(5), 5, 15, 61),
         (cyclic_knn(6), 6, 0, 223),
@@ -223,6 +226,34 @@ def test_count_budget_boundary_is_exact():
                 count_rainbow_matchings(g, size, node_budget=nodes - 1)
             checked += 1
     assert checked == 742
+
+
+def test_count_on_a_graph_too_small_for_the_size_is_one_node():
+    # With fewer than 2 * size vertices the root is cut at once, so the
+    # tree is that one node and nothing is indexed below it.
+    cases = [(build_graph(0, []), 1), (build_graph(1, []), 1),
+             (build_graph(2, [(0, 1, 1)]), 2), (k4_one_factorization(), 3),
+             (cyclic_knn(3), 4), (cyclic_knn(7), 8)]
+    for g, size in cases:
+        assert reference_count_walk(g, size) == (0, 1)
+        assert count_rainbow_matchings(g, size) == 0
+        assert count_rainbow_matchings(g, size, node_budget=1) == 0
+        with pytest.raises(BudgetExceeded):
+            count_rainbow_matchings(g, size, node_budget=0)
+
+
+@pytest.mark.parametrize("square", [cyclic_square(7), random_latin(7, 3)],
+                         ids=["cyclic7", "random7"])
+def test_count_latin_encodings_at_every_size(square):
+    # Merging saves the most at the middle sizes of a Latin encoding, where
+    # many partial matchings use the same columns and symbols.
+    g = latin_to_graph(square)
+    for size in range(1, 8):
+        count, nodes = reference_count_walk(g, size)
+        assert count_rainbow_matchings(g, size, node_budget=nodes) == count
+        with pytest.raises(BudgetExceeded):
+            count_rainbow_matchings(g, size, node_budget=nodes - 1)
+    assert count == count_transversals(square)
 
 
 def test_count_on_a_graph_wider_than_a_machine_word():
