@@ -44,7 +44,7 @@ counts around its peak are evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import (
@@ -121,24 +121,21 @@ class AuditReport:
     mono_color: int | None
     max_class_size: int
     uncovered: frozenset[int]
-    extended_uncovered: frozenset[int] = frozenset()
-    pairs: list[MatchedPair] = field(default_factory=list)
-    good_edges: tuple[Edge, ...] = ()
-    nice_edges: tuple[Edge, ...] = ()
-    good_pair_count: int = 0
-    nice_pair_count: int = 0
-    mono_touched_count: int = 0
-    order_bound: int = 0
-    checks: list[ClaimCheck] = field(default_factory=list)
+    extended_uncovered: frozenset[int]
+    pairs: list[MatchedPair]
+    good_edges: tuple[Edge, ...]
+    nice_edges: tuple[Edge, ...]
+    good_pair_count: int
+    nice_pair_count: int
+    mono_touched_count: int
+    order_bound: int
+    checks: list[ClaimCheck]
 
     def check(self, name: str) -> ClaimCheck | None:
         for c in self.checks:
             if c.name == name:
                 return c
         return None
-
-    def add_check(self, name, holds, witness=(), note="") -> None:
-        self.checks.append(ClaimCheck(name, bool(holds), tuple(witness), note))
 
 
 def _promote(pairs: list[MatchedPair], edges, covered: frozenset[int],
@@ -203,10 +200,7 @@ def audit_state(graph: EdgeColoredGraph, matching: Matching, mono: Matching,
     n = graph.n
     covered = matching.vertices
     uncovered = frozenset(range(n)) - covered
-    report = AuditReport(delta=delta, n=n, matching=matching, mono=mono,
-                         mono_color=mono_color, max_class_size=len(mono),
-                         uncovered=uncovered)
-    check = report.add_check
+    checks: list[ClaimCheck] = []
 
     # Good edges and good pairs.
     good_edges = tuple(
@@ -215,14 +209,15 @@ def audit_state(graph: EdgeColoredGraph, matching: Matching, mono: Matching,
     )
     inside = tuple(e for e in good_edges
                    if e[0] in uncovered and e[1] in uncovered)
-    check("matching-maximality", not inside, inside,
-          note="every good edge must meet a matched vertex; a failure means a direct extension exists")
+    checks.append(ClaimCheck("matching-maximality", not inside, inside,
+                             note="every good edge must meet a matched vertex; "
+                                  "a failure means a direct extension exists"))
     pairs = [MatchedPair(x=u, y=v, color=c) for u, v, c in matching.edges]
     good_at = _promote(pairs, good_edges, covered, "good")
     bad = tuple(e for e in matching.edges if _dichotomy_fails(good_at[e[0]], good_at[e[1]]))
-    check("good-pair-dichotomy", not bad, bad,
-          note=f"{DICHOTOMY_THRESHOLD} good edges at one endpoint forbid any at the partner; "
-               "a failure means a one-for-two exchange exists")
+    checks.append(ClaimCheck("good-pair-dichotomy", not bad, bad,
+                             note=f"{DICHOTOMY_THRESHOLD} good edges at one endpoint forbid any "
+                                  "at the partner; a failure means a one-for-two exchange exists"))
 
     # Nice edges over the extended set and nice pairs among the rest.  With
     # no good pair the extended set is the uncovered set, nice coincides
@@ -234,14 +229,14 @@ def audit_state(graph: EdgeColoredGraph, matching: Matching, mono: Matching,
         if e[2] not in excluded and (e[0] in extended or e[1] in extended)
     )
     inside = tuple(e for e in nice_edges if e[0] in extended and e[1] in extended)
-    check("nice-separation", not inside, inside,
-          note="nice edges must leave the extended uncovered set")
+    checks.append(ClaimCheck("nice-separation", not inside, inside,
+                             note="nice edges must leave the extended uncovered set"))
     nice_at = _promote(pairs, nice_edges, covered, "nice")
     bad = tuple((p.x, p.y, p.color) for p in pairs
                 if p.kind != "good" and _dichotomy_fails(nice_at[p.x], nice_at[p.y]))
-    check("nice-pair-dichotomy", not bad, bad,
-          note="same dichotomy as good pairs, over nice edges and the remaining pairs; "
-               "a failure means a deeper exchange exists")
+    checks.append(ClaimCheck("nice-pair-dichotomy", not bad, bad,
+                             note="same dichotomy as good pairs, over nice edges and the "
+                                  "remaining pairs; a failure means a deeper exchange exists"))
 
     # Both counts are read at the final orientation.  A plain pair with an
     # edge of the mono colour into the uncovered set is mono-touched.
@@ -259,8 +254,9 @@ def audit_state(graph: EdgeColoredGraph, matching: Matching, mono: Matching,
     # The upper bound in the note needs no check: r, s and t count
     # disjoint kinds of the delta - 1 pairs.
     lb = Fraction(2 * (a - delta + 1) - (r + s), 2)
-    check("touched-count-bounds", t >= lb,
-          note=f"touched={t}, lower bound {lb}, and good+nice+touched <= {delta - 1}")
+    checks.append(ClaimCheck("touched-count-bounds", t >= lb,
+                             note=f"touched={t}, lower bound {lb}, "
+                                  f"and good+nice+touched <= {delta - 1}"))
     rank = {"good": 0, "nice": 1, "mono-touched": 2, "plain": 3}
     pairs.sort(key=lambda p: rank[p.kind])
     for i, p in enumerate(pairs, start=1):
@@ -269,46 +265,47 @@ def audit_state(graph: EdgeColoredGraph, matching: Matching, mono: Matching,
     # Degree cap, colour absence, count caps and the order inequality.
     cap = 3 * (delta - 1)
     heavy = tuple((v, graph.degree(v)) for v in range(n) if graph.degree(v) > cap)
-    check("degree-cap", not heavy, heavy,
-          note=f"max degree {max_degree(graph)} vs cap {cap}; conditional: "
-               "a failure only means the vertex-reduction move applies")
+    checks.append(ClaimCheck("degree-cap", not heavy, heavy,
+                             note=f"max degree {max_degree(graph)} vs cap {cap}; conditional: a "
+                                  "failure only means the vertex-reduction move applies"))
     good_colors = {p.color for p in pairs if p.kind == "good"}
     paired_colors = good_colors | {p.color for p in pairs if p.kind == "nice"}
     inside = [e for e in graph.edges if e[0] in extended and e[1] in extended]
     bad = tuple(e for e in inside if e[2] in good_colors)
-    check("good-color-absence", not bad, bad,
-          note="good pair colours may not appear inside the extended uncovered set")
+    checks.append(ClaimCheck("good-color-absence", not bad, bad,
+                             note="good pair colours may not appear inside the extended "
+                                  "uncovered set"))
     bad = tuple(e for e in inside if e[2] in paired_colors)
-    check("nice-color-absence", not bad, bad,
-          note="good and nice pair colours may not appear inside the extended uncovered set")
+    checks.append(ClaimCheck("nice-color-absence", not bad, bad,
+                             note="good and nice pair colours may not appear inside the "
+                                  "extended uncovered set"))
     nice_cap = (3 * delta - 9 + s) * r + 6 * (delta - 1)
-    check("nice-edge-cap", len(nice_edges) <= nice_cap,
-          ((len(nice_edges), nice_cap),),
-          note=f"{len(nice_edges)} nice edges vs cap {nice_cap}")
+    checks.append(ClaimCheck("nice-edge-cap", len(nice_edges) <= nice_cap,
+                             ((len(nice_edges), nice_cap),),
+                             note=f"{len(nice_edges)} nice edges vs cap {nice_cap}"))
     inside_by_color: dict[int, list[Edge]] = {}
     for e in graph.edges:
         if e[0] in uncovered and e[1] in uncovered:
             inside_by_color.setdefault(e[2], []).append(e)
     bad = tuple((p.color, tuple(inside_by_color[p.color])) for p in pairs
                 if p.kind == "mono-touched" and len(inside_by_color.get(p.color, ())) > 1)
-    check("mono-color-multiplicity", not bad, bad,
-          note="a mono-touched pair colour fits at most one edge inside the uncovered set")
+    checks.append(ClaimCheck("mono-color-multiplicity", not bad, bad,
+                             note="a mono-touched pair colour fits at most one edge inside "
+                                  "the uncovered set"))
     lhs = delta * n
     rhs = _doubled_order_bound(delta, r, s, a, 2 * t) // 2
-    check("order-inequality", lhs <= rhs,
-          note=f"delta*n = {lhs} vs structural bound {rhs}")
-    check("pair-count-slack", 5 * r + 3 * s < 2 * (delta + 1),
-          note=f"5*good + 3*nice = {5 * r + 3 * s} vs {2 * (delta + 1)}; diagnostic")
+    checks.append(ClaimCheck("order-inequality", lhs <= rhs,
+                             note=f"delta*n = {lhs} vs structural bound {rhs}"))
+    checks.append(ClaimCheck("pair-count-slack", 5 * r + 3 * s < 2 * (delta + 1),
+                             note=f"5*good + 3*nice = {5 * r + 3 * s} vs {2 * (delta + 1)}; "
+                                  "diagnostic"))
 
-    report.extended_uncovered = extended
-    report.pairs = pairs
-    report.good_edges = good_edges
-    report.nice_edges = nice_edges
-    report.good_pair_count = r
-    report.nice_pair_count = s
-    report.mono_touched_count = t
-    report.order_bound = rhs
-    return report
+    return AuditReport(delta=delta, n=n, matching=matching, mono=mono,
+                       mono_color=mono_color, max_class_size=a,
+                       uncovered=uncovered, extended_uncovered=extended,
+                       pairs=pairs, good_edges=good_edges, nice_edges=nice_edges,
+                       good_pair_count=r, nice_pair_count=s, mono_touched_count=t,
+                       order_bound=rhs, checks=checks)
 
 
 def pick_mono_class(graph: EdgeColoredGraph, matching: Matching) -> Matching:

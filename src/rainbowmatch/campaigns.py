@@ -4,16 +4,19 @@ A campaign sweeps minimum-degree values, generates seeded random graphs of
 the order prescribed by the configuration, colours each one several times,
 and asks the exact solver whether a rainbow matching of the target size
 exists.  The exact solver is always the verdict; the rule engine runs
-alongside as a reported metric.  Two runs with equal configuration produce
-byte-identical result files: every random choice flows from the master
-seed through :func:`derive_seed`.
+alongside as a reported metric.  Each colouring yields one record, built
+once by a function that writes nothing; :func:`run_campaign` then reads the
+violation lines, the witness files and the per-degree cells off the
+records.  Two runs with equal configuration produce byte-identical result
+files: every random choice flows from the master seed through
+:func:`derive_seed`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .auditor import chain_order
@@ -132,10 +135,10 @@ class CellResult:
 class CampaignResult:
     config: CampaignConfig
     config_hash: str
-    records: list[InstanceRecord] = field(default_factory=list)
-    cells: list[CellResult] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
-    witness_files: list[str] = field(default_factory=list)
+    records: list[InstanceRecord]
+    cells: list[CellResult]
+    violations: list[str]
+    witness_files: list[str]
 
 
 def _verdict(size: int, optimal: bool, need: int) -> bool | None:
@@ -156,63 +159,43 @@ def _checked(graph: EdgeColoredGraph, res):
     return res
 
 
-def _evaluate_instance(graph, delta, flagged, config, rec_common, out_dir, result):
-    """Solve one colouring exactly, run the engine, apply the weaker-bound
-    checks, and append the record (dumping a witness on any violation).
-    ``flagged`` is :func:`lesaulnier_exception` of the graph."""
+def _instance_record(graph: EdgeColoredGraph, flagged: bool,
+                     config: CampaignConfig, ids: tuple) -> InstanceRecord:
+    """The record of one colouring: solve it exactly, run the engine and
+    apply the weaker-bound checks.  ``flagged`` is
+    :func:`lesaulnier_exception` of the graph; ``ids`` holds the record's
+    first seven fields, which identify it: config hash, delta, n, graph and
+    recolouring index, graph and colour seed."""
+    delta = ids[1]
     res = final = _checked(graph, solve_decision(graph, delta, config.node_budget))
     nodes = res.nodes_explored
     if res.size < delta and res.optimal:
         # Definite negative; get the true optimum for the weaker checks.
         final = _checked(graph, max_rainbow_matching(graph, config.node_budget))
         nodes += final.nodes_explored
-    found_size = final.size
-    theorem_applicable = graph.n >= bound_n(delta)
     theorem_ok = _verdict(res.size, res.optimal, delta)
-    lesaulnier_ok = _verdict(found_size, final.optimal, lesaulnier_threshold(delta))
-    wang_ok = _verdict(found_size, final.optimal, wang_threshold(delta))
-    status = "ok" if theorem_ok or final.optimal else "inconclusive"
-
-    wang_app = wang_applies(graph.n, delta)
     eng = run_engine(graph, delta, config.engine_depth,
                      node_budget=config.node_budget)
-
-    record = InstanceRecord(
-        edges=len(graph.edges),
-        status=status,
-        found_size=found_size,
-        nodes=nodes,
-        theorem_applicable=theorem_applicable,
-        theorem_ok=theorem_ok,
+    return InstanceRecord(
+        *ids, edges=len(graph.edges),
+        status="ok" if theorem_ok or final.optimal else "inconclusive",
+        found_size=final.size, nodes=nodes,
+        theorem_applicable=graph.n >= bound_n(delta), theorem_ok=theorem_ok,
         lesaulnier_flagged=flagged,
-        lesaulnier_ok=lesaulnier_ok,
-        wang_applicable=wang_app,
-        wang_ok=wang_ok,
-        engine_size=eng.size,
-        engine_steps=len(eng.trace),
-        **rec_common,
-    )
-    result.records.append(record)
+        lesaulnier_ok=_verdict(final.size, final.optimal, lesaulnier_threshold(delta)),
+        wang_applicable=wang_applies(graph.n, delta),
+        wang_ok=_verdict(final.size, final.optimal, wang_threshold(delta)),
+        engine_size=eng.size, engine_steps=len(eng.trace))
 
-    problems = []
-    if theorem_applicable and theorem_ok is False:
-        problems.append("theorem")
-    if lesaulnier_ok is False and not flagged:
-        problems.append("lesaulnier")
-    if wang_app and wang_ok is False:
-        problems.append("wang")
-    for kind in problems:
-        desc = (f"{kind} violation: delta={delta} n={graph.n} "
-                f"graph={record.graph_index} recoloring={record.recoloring_index} "
-                f"size={found_size}")
-        result.violations.append(desc)
-        if out_dir is not None:
-            name = (f"witness-{kind}-{result.config_hash}-d{delta}-n{graph.n}"
-                    f"-g{record.graph_index}-c{record.recoloring_index}.txt")
-            Path(out_dir).mkdir(parents=True, exist_ok=True)
-            path = Path(out_dir) / name
-            path.write_text(dumps_graph(graph), encoding="utf-8")
-            result.witness_files.append(str(path))
+
+def _violations(rec: InstanceRecord) -> list[str]:
+    """The guarantees ``rec`` breaks, in theorem, LeSaulnier, Wang order."""
+    if False not in (rec.theorem_ok, rec.lesaulnier_ok, rec.wang_ok):
+        return []
+    return [kind for kind, broken in (
+        ("theorem", rec.theorem_applicable and rec.theorem_ok is False),
+        ("lesaulnier", rec.lesaulnier_ok is False and not rec.lesaulnier_flagged),
+        ("wang", rec.wang_applicable and rec.wang_ok is False)) if broken]
 
 
 def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> CampaignResult:
@@ -224,10 +207,11 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
         raise ValueError(f"samples must be at least 1, got {config.samples}")
     if config.recolorings < 0:
         raise ValueError(f"recolorings must be at least 0, got {config.recolorings}")
-    result = CampaignResult(config=config, config_hash=config.config_hash())
+    config_hash = config.config_hash()
+    records, cells, violations, witness_files = [], [], [], []
     for delta in config.deltas:
         n = config.n_for(delta)
-        first = len(result.records)
+        cell = []
         for i in range(config.samples):
             gseed = derive_seed(config.master_seed, "graph", delta, n, i)
             base = random_graph_min_degree(n, delta, gseed, config.extra_edge_prob)
@@ -238,34 +222,27 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
                     # The order, edge count and minimum degree are the base
                     # graph's, whatever the colouring.
                     flagged = lesaulnier_exception(graph)
-                rec_common = {
-                    "config_hash": result.config_hash,
-                    "delta": delta,
-                    "n": n,
-                    "graph_index": i,
-                    "recoloring_index": j,
-                    "graph_seed": gseed,
-                    "color_seed": cseed,
-                }
-                _evaluate_instance(graph, delta, flagged, config, rec_common,
-                                   out_dir, result)
-        cell_records = result.records[first:]
-        ok = sum(1 for r in cell_records if r.theorem_ok is True)
-        failures = sum(1 for r in cell_records if r.theorem_ok is False)
-        inconclusive = sum(1 for r in cell_records if r.theorem_ok is None)
-        total = len(cell_records)
-        engine_ok = sum(1 for r in cell_records if r.engine_size >= delta)
-        result.cells.append(CellResult(
-            delta=delta,
-            n=n,
-            instances=total,
-            ok=ok,
-            failures=failures,
-            inconclusive=inconclusive,
+                rec = _instance_record(graph, flagged, config,
+                                       (config_hash, delta, n, i, j, gseed, cseed))
+                cell.append(rec)
+                for kind in _violations(rec):
+                    violations.append(f"{kind} violation: delta={delta} n={n} graph={i} "
+                                      f"recoloring={j} size={rec.found_size}")
+                    if out_dir is not None:
+                        Path(out_dir).mkdir(parents=True, exist_ok=True)
+                        path = Path(out_dir) / (f"witness-{kind}-{config_hash}-d{delta}"
+                                                f"-n{n}-g{i}-c{j}.txt")
+                        path.write_text(dumps_graph(graph), encoding="utf-8")
+                        witness_files.append(str(path))
+        verdicts = [r.theorem_ok for r in cell]
+        ok, total = verdicts.count(True), len(cell)
+        cells.append(CellResult(
+            delta=delta, n=n, instances=total, ok=ok,
+            failures=verdicts.count(False), inconclusive=verdicts.count(None),
             success_fraction=ok / total,
-            engine_success_fraction=engine_ok / total,
-        ))
-    return result
+            engine_success_fraction=sum(r.engine_size >= delta for r in cell) / total))
+        records += cell
+    return CampaignResult(config, config_hash, records, cells, violations, witness_files)
 
 
 def campaign_to_json(result: CampaignResult) -> str:

@@ -22,6 +22,7 @@ from .auditor import (
     pick_mono_class,
 )
 from .campaigns import (
+    DEFAULT_NODE_BUDGET,
     CampaignConfig,
     run_campaign,
     write_campaign_files,
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extra colourings per graph")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--depth", type=int, default=3, help="engine exchange depth")
-    p.add_argument("--budget", type=int, default=10 ** 8, help="node budget")
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="node budget")
     p.add_argument("--prob", type=float, default=0.0,
                    help="extra edge probability")
     p.add_argument("--out", default=None, help="directory for result files")

@@ -208,7 +208,9 @@ def random_latin(n: int, seed: int) -> LatinSquare:
     """Uniform-ish random Latin square by randomised backtracking.
 
     Cells fill row-major; candidate symbols are shuffled per cell with the
-    seeded generator.  Orders above 9 raise :class:`OrderTooLarge`.
+    seeded generator on each arrival at the cell.  The backtracking is
+    iterative, one iterator of untried symbols per filled cell, with no
+    recursion.  Orders above 9 raise :class:`OrderTooLarge`.
     """
     if n < 1:
         raise ValueError("order must be positive")
@@ -218,24 +220,26 @@ def random_latin(n: int, seed: int) -> LatinSquare:
     grid = [[0] * n for _ in range(n)]
     row_used = [set() for _ in range(n)]
     col_used = [set() for _ in range(n)]
-
-    def fill(pos: int) -> bool:
-        if pos == n * n:
-            return True
+    untried = []
+    pos = 0
+    while pos < n * n:
         r, c = divmod(pos, n)
-        options = [s for s in range(1, n + 1)
-                   if s not in row_used[r] and s not in col_used[c]]
-        _shuffle(rng, options)
-        for s in options:
+        if len(untried) == pos:
+            options = [s for s in range(1, n + 1)
+                       if s not in row_used[r] and s not in col_used[c]]
+            _shuffle(rng, options)
+            untried.append(iter(options))
+        else:
+            # Back from a dead end: free this cell's symbol.
+            row_used[r].discard(grid[r][c])
+            col_used[c].discard(grid[r][c])
+        s = next(untried[-1], 0)
+        if s:
             grid[r][c] = s
             row_used[r].add(s)
             col_used[c].add(s)
-            if fill(pos + 1):
-                return True
-            col_used[c].discard(s)
-            row_used[r].discard(s)
-            grid[r][c] = 0
-        return False
-
-    fill(0)
+            pos += 1
+        else:
+            untried.pop()
+            pos -= 1
     return LatinSquare(grid)

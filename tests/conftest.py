@@ -19,7 +19,14 @@ from pathlib import Path
 import pytest
 
 import rainbowmatch
-from rainbowmatch import CellResult, InstanceRecord, build_graph, records_to_csv
+from rainbowmatch import (
+    CellResult,
+    InstanceRecord,
+    Matching,
+    SolveResult,
+    build_graph,
+    records_to_csv,
+)
 
 
 # ------------------------------------------------------------ option table
@@ -106,6 +113,14 @@ def random_instance(seed: int, max_n: int = 9, max_m: int = 12):
         incident[u].add(c)
         incident[v].add(c)
     return build_graph(n, edges)
+
+
+def no_solver(graph, *args, **kwargs):
+    """A solver that proves every instance has no rainbow edge at all.
+    Only a wrong solver can break the guarantees, so it stands in for
+    ``solve_decision`` and ``max_rainbow_matching`` to drive a campaign's
+    violation lines and witness dumps."""
+    return SolveResult(Matching(), 0, True, 1)
 
 
 # ----------------------------------------------------------------- oracles

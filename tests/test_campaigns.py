@@ -5,6 +5,7 @@ import pytest
 
 from rainbowmatch import (
     CampaignConfig,
+    CellResult,
     Matching,
     SolveResult,
     WrongWitness,
@@ -32,7 +33,14 @@ from rainbowmatch import (
     write_campaign_files,
 )
 
-from conftest import c4, cells_csv, instances_csv, k4_one_factorization, k33_cyclic
+from conftest import (
+    c4,
+    cells_csv,
+    instances_csv,
+    k4_one_factorization,
+    k33_cyclic,
+    no_solver,
+)
 
 
 # ------------------------------------------------------------ seed derivation
@@ -136,6 +144,92 @@ def test_wrong_witness_raises_and_is_never_counted(monkeypatch):
     monkeypatch.setattr(campaigns, "solve_decision", _wrong_witness)
     with pytest.raises(WrongWitness):
         run_campaign(SMALL)
+
+
+def _tally(records, delta, n):
+    """The cell that ``records`` of one minimum degree make, counted here."""
+    verdicts = [r.theorem_ok for r in records]
+    total = len(records)
+    engine_ok = sum(1 for r in records if r.engine_size >= delta)
+    return CellResult(delta, n, total, verdicts.count(True), verdicts.count(False),
+                      verdicts.count(None), verdicts.count(True) / total,
+                      engine_ok / total)
+
+
+def assert_cells_tally_records(result):
+    assert [(c.delta, c.n) for c in result.cells] == [
+        (d, result.config.n_for(d)) for d in result.config.deltas]
+    for cell in result.cells:
+        mine = [r for r in result.records if r.delta == cell.delta]
+        assert cell == _tally(mine, cell.delta, cell.n)
+
+
+# Proven order (theorem applicable) and order 6, where the theorem does not
+# apply, some graphs of minimum degree 2 are LeSaulnier exceptions and
+# Wang's bound does not apply at minimum degree 4.
+VIOLATING = (CampaignConfig(deltas=(2, 3), samples=2, recolorings=1, master_seed=1),
+             CampaignConfig(deltas=(2, 4), n_rule="fixed:6", samples=4,
+                            recolorings=1, master_seed=1))
+
+
+def test_violations_and_witnesses_are_read_off_the_records(tmp_path, monkeypatch):
+    # With the stand-in every verdict is a proven no, so each record breaks
+    # each guarantee that applies to its graph.
+    monkeypatch.setattr(campaigns, "solve_decision", no_solver)
+    monkeypatch.setattr(campaigns, "max_rainbow_matching", no_solver)
+    seen = set()
+    for k, config in enumerate(VIOLATING):
+        out = tmp_path / f"witness-{k}"
+        result = run_campaign(config, out)
+        h = config.config_hash()
+        assert len(result.records) == (len(config.deltas) * config.samples
+                                       * (config.recolorings + 1))
+        lines, names = [], []
+        for rec in result.records:
+            assert rec.theorem_ok is rec.lesaulnier_ok is rec.wang_ok is False
+            base = random_graph_min_degree(rec.n, rec.delta, rec.graph_seed,
+                                           config.extra_edge_prob)
+            graph = greedy_proper_coloring(base, rec.color_seed)
+            kinds = [kind for kind, applies in (
+                ("theorem", rec.n >= bound_n(rec.delta)),
+                ("lesaulnier", not lesaulnier_exception(graph)),
+                ("wang", wang_applies(rec.n, rec.delta))) if applies]
+            seen.update(kinds)
+            seen.update(f"no {kind}" for kind in ("theorem", "lesaulnier", "wang")
+                        if kind not in kinds)
+            for kind in kinds:
+                lines.append(f"{kind} violation: delta={rec.delta} n={rec.n} "
+                             f"graph={rec.graph_index} recoloring={rec.recoloring_index} "
+                             f"size=0")
+                name = (f"witness-{kind}-{h}-d{rec.delta}-n{rec.n}"
+                        f"-g{rec.graph_index}-c{rec.recoloring_index}.txt")
+                names.append(name)
+                assert parse_graph((out / name).read_text(encoding="utf-8")) == graph
+        assert result.violations == lines
+        assert result.witness_files == [str(out / name) for name in names]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        assert_cells_tally_records(result)
+        # Without a directory the same violations are reported and nothing
+        # is written, not even in the working directory.
+        cwd = tmp_path / f"cwd-{k}"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        bare = run_campaign(config)
+        assert bare.violations == lines and bare.witness_files == []
+        assert bare.records == result.records and bare.cells == result.cells
+        assert list(cwd.iterdir()) == []
+    assert seen == {"theorem", "lesaulnier", "wang",
+                    "no theorem", "no lesaulnier", "no wang"}
+
+
+def test_cells_tally_their_records():
+    # A 3-node budget leaves witnessed records, unknown ones and proven noes.
+    config = CampaignConfig(deltas=(2, 3), n_rule="fixed:5", samples=4,
+                            recolorings=1, master_seed=3, node_budget=3)
+    result = run_campaign(config)
+    assert {r.theorem_ok for r in result.records} == {True, False, None}
+    assert_cells_tally_records(result)
+    assert_cells_tally_records(run_campaign(SMALL))
 
 
 def test_repeated_delta_is_rejected():

@@ -5,8 +5,6 @@ from pathlib import Path
 import pytest
 
 from rainbowmatch import (
-    Matching,
-    SolveResult,
     campaigns,
     dumps_graph,
     dumps_square,
@@ -17,6 +15,7 @@ from rainbowmatch import (
     random_latin,
 )
 from rainbowmatch import cli
+from rainbowmatch.campaigns import DEFAULT_NODE_BUDGET
 from rainbowmatch.cli import build_parser, main
 from rainbowmatch.latin import cyclic_square
 
@@ -26,6 +25,7 @@ from conftest import (
     fresh_interpreter,
     k4_one_factorization,
     k33_cyclic,
+    no_solver,
     pendant_star,
 )
 
@@ -459,6 +459,10 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+def test_verify_budget_default_is_the_campaign_default():
+    assert build_parser().parse_args(["verify"]).budget == DEFAULT_NODE_BUDGET
+
+
 def test_shared_parser_keeps_calls_apart(tmp_path, capsys):
     # Non-default flags in one call must not become the next call's
     # defaults: the plain call writes what a fresh interpreter writes.
@@ -496,11 +500,6 @@ def test_usage_error_and_help_leave_the_next_call_alone(capsys):
 
 
 # ------------------------------------------------------------------- pins
-
-def _no_solver(graph, *args, **kwargs):
-    """A solver that proves every instance has no rainbow edge at all."""
-    return SolveResult(Matching(), 0, True, 1)
-
 
 def test_cli_result_files_are_pinned(tmp_path, capsys, monkeypatch, k4_file,
                                      pend_file):
@@ -556,8 +555,8 @@ def test_cli_result_files_are_pinned(tmp_path, capsys, monkeypatch, k4_file,
          "--mono-color", "2"], code=3)
     # Only a wrong solver can break the guarantees, so one stands in here to
     # drive the violation lines and the witness dumps.
-    monkeypatch.setattr(campaigns, "solve_decision", _no_solver)
-    monkeypatch.setattr(campaigns, "max_rainbow_matching", _no_solver)
+    monkeypatch.setattr(campaigns, "solve_decision", no_solver)
+    monkeypatch.setattr(campaigns, "max_rainbow_matching", no_solver)
     for fmt in ("csv", "json"):
         out = tmp_path / f"witness-{fmt}"
         digests[f"verify witness {fmt}"] = run(
