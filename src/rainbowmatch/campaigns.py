@@ -25,7 +25,7 @@ from .generators import greedy_proper_coloring, random_graph_min_degree
 from .errors import WrongWitness
 from .graphs import EdgeColoredGraph, bound_n, is_rainbow_matching, min_degree
 from .io import dumps_graph, records_to_csv, to_json
-from .solver import max_rainbow_matching, solve_decision
+from .solver import _node_limit, max_rainbow_matching, solve_decision
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
@@ -207,6 +207,7 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
         raise ValueError(f"samples must be at least 1, got {config.samples}")
     if config.recolorings < 0:
         raise ValueError(f"recolorings must be at least 0, got {config.recolorings}")
+    _node_limit(config.node_budget)
     config_hash = config.config_hash()
     records, cells, violations, witness_files = [], [], [], []
     for delta in config.deltas:

@@ -25,7 +25,7 @@ from itertools import combinations
 
 from .errors import BudgetExceeded, InvalidState
 from .graphs import Edge, EdgeColoredGraph, Matching, _edge_of, _require_edges
-from .solver import SolveResult, _matching, _search, rainbow_matching_at_least
+from .solver import SolveResult, _matching, _node_limit, _search, rainbow_matching_at_least
 
 RULE_SEED = "R-seed"
 RULE_DIRECT = "R-direct"
@@ -129,6 +129,7 @@ def rule_exchange(graph: EdgeColoredGraph, matching: Matching, depth: int = 3,
     raise :class:`InvalidState`, at any depth, as in every rule.
     """
     _check_depth(depth)
+    _node_limit(node_budget)
     found, _removals, budget_hit = _exchange(graph, matching, depth, node_budget, [0])
     if budget_hit:
         raise BudgetExceeded(f"node budget {node_budget} hit in the exchange")
@@ -215,6 +216,7 @@ def rule_vertex_reduce(graph: EdgeColoredGraph, target: int,
     matching exists.  The decide call raises :class:`BudgetExceeded` when
     ``node_budget`` runs out before it decides.
     """
+    _node_limit(node_budget)
     if target < 1:
         return None
     threshold = 3 * (target - 1)
@@ -255,6 +257,7 @@ def run_engine(graph: EdgeColoredGraph, target: int,
     ``max_exchange_depth`` raises ``ValueError``; 0 runs no exchange.
     """
     _check_depth(max_exchange_depth)
+    _node_limit(node_budget)
     if target <= 0:
         return SolveResult(Matching(), 0, False, 0,
                            (RuleStep(RULE_SEED, (), ()),))

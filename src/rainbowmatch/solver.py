@@ -10,9 +10,11 @@ with the used colours above them.  The witness is a linked chain of edge
 masks, shared by every node below it.  A node is cut when the matching
 built so far plus an optimistic completion bound cannot reach what is
 needed (the incumbent plus one, or the target size).  The bound is the
-smaller of half the free vertices and the unused colours, two popcounts
-per node.  The "leave it unmatched" child is pushed only while the other
-free vertices can still hold what is needed.
+smaller of half the free vertices and the unused colours.  An edge child
+takes one unused colour and one edge, a skip child neither, so the size
+plus the unused colours is the root's unused-colour count at every node:
+the walk fixes it once.  The "leave it unmatched" child is pushed only
+while the other free vertices can still hold what is needed.
 
 A walk returns one plain tuple: the witness chain, its size, the nodes
 visited, the milestones (each new incumbent and a budget stop) as plain
@@ -78,10 +80,12 @@ class SolveResult:
 
 
 def _node_limit(node_budget: int | None):
-    """A walk's node cap: none for ``None``; a negative budget raises
-    ``ValueError``, and 0 visits no node."""
+    """A walk's node cap: none for ``None``; a budget that is no ``int``
+    (a bool included) or below 0 raises ``ValueError``; 0 visits no node."""
     if node_budget is None:
         return math.inf
+    if type(node_budget) is not int:
+        raise ValueError(f"node budget must be an integer, got {node_budget!r}")
     if node_budget < 0:
         raise ValueError(f"node budget must be at least 0, got {node_budget}")
     return node_budget
@@ -108,7 +112,7 @@ def _search(graph: EdgeColoredGraph, target: int | None,
     options = graph.options
     n = graph.n
     everyone = (1 << n) - 1
-    colours = ((1 << len(graph.colors)) - 1) << n
+    cap = len(graph.colors) - (used >> n).bit_count()
     maximise = target is None
     need = 1 if maximise else target
     nodes = best_size = 0
@@ -131,10 +135,8 @@ def _search(graph: EdgeColoredGraph, target: int | None,
                 return best, best_size, nodes, events, False
         free = everyone & ~used
         room = free.bit_count()
-        # Cut unless half the free vertices and the unused colours can
-        # both still reach ``need``.
-        if (size + (room >> 1) < need
-                or size + (colours & ~used).bit_count() < need):
+        # Cut unless half the free vertices and the unused colours reach ``need``.
+        if size + (room >> 1) < need or cap < need:
             continue
         low = free & -free
         if size + ((room - 1) >> 1) >= need:
@@ -204,6 +206,7 @@ def solve_decision(graph: EdgeColoredGraph, k: int,
     ``optimal`` means the question was resolved: either ``size >= k``
     (witness found) or the whole tree was exhausted below k.
     """
+    _node_limit(node_budget)
     if k <= 0:
         return SolveResult(Matching(), 0, True, 0, ())
     return _result(graph, _search(graph, k, node_budget))
@@ -223,8 +226,10 @@ def count_rainbow_matchings(graph: EdgeColoredGraph, size: int,
     needed and the used mask, so each distinct state is expanded once with
     its number of tree nodes, and the node total is the plain tree's.
     Raises :class:`BudgetExceeded` when the tree holds more than
-    ``node_budget`` nodes; a negative budget raises ``ValueError``.  The
-    states of two levels are held at once: on a random order-9 square's
+    ``node_budget`` nodes, checked once per bucket of merged states before
+    it is expanded; a bucket is complete when the sweep reaches it, so the
+    outcome is a per-node check's.  A bad budget raises ``ValueError``.
+    Two levels of states are held at once: on a random order-9 square's
     encoding they peak at 0.6 MB for size 9 and 9.6 MB for size 6.
     """
     limit = _node_limit(node_budget)
@@ -238,28 +243,27 @@ def count_rainbow_matchings(graph: EdgeColoredGraph, size: int,
             raise BudgetExceeded(f"node budget {node_budget} hit while counting")
         return 0
     options = graph.options
-    everyone = (1 << n) - 1
     spare = n - 2 * size   # the vertices a matching of ``size`` leaves free
     nodes = count = 0
     # Levels go by edges still needed, from ``size`` down.  below[s] maps
     # each used mask of the next level that left s vertices unmatched to
     # its number of tree nodes; a skip child leaves one more than its
-    # parent, so each state is complete before the sweep reaches it.
+    # parent, so each bucket is complete before the sweep reaches it.
     below = [{0: 1}] + [{} for _ in range(spare)]
     for need in range(size, 0, -1):
         level, below = below, [{} for _ in range(spare + 1)]
         for skips, states in enumerate(level):
+            nodes += sum(states.values())
+            if nodes > limit:
+                raise BudgetExceeded(f"node budget {node_budget} hit while counting")
             child = below[skips]
+            skip = level[skips + 1] if skips < spare else None
             for used, k in states.items():
-                nodes += k
-                if nodes > limit:
-                    raise BudgetExceeded(f"node budget {node_budget} hit while counting")
-                free = everyone & ~used
-                low = free & -free
+                # Room for an edge: the lowest clear bit is a free vertex.
+                low = ~used & (used + 1)
                 opts = options[low.bit_length() - 1]
                 used |= low
-                if skips < spare:
-                    skip = level[skips + 1]
+                if skip is not None:
                     skip[used] = skip.get(used, 0) + k
                 if need == 1:
                     count += k * sum([not used & m for m in opts])

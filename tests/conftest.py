@@ -198,6 +198,70 @@ def reference_count_walk(graph, size: int) -> tuple[int, int]:
     return visit(size, 0), nodes
 
 
+def reference_search_walk(graph, target, node_budget=None, used=0):
+    """``(witness, size, nodes, events, budget_hit)`` of the search's tree,
+    walked recursively over ``graph.options``, with the witness decoded
+    from the option bits into a :class:`Matching`.
+
+    Branch on the lowest free vertex: its fitting edges in table order,
+    then, if the other free vertices could still hold what is needed when
+    the node was visited, leave it unmatched.  A node is cut when the size
+    plus half its free vertices, or the size plus its unused colours, both
+    counted by popcount at that node, falls short of what is needed: the
+    target, or one more than the incumbent when ``target`` is None.  The
+    walk stops before node ``node_budget + 1`` with a budget event, and a
+    decide walk stops at its first witness.  ``used`` is a root mask of
+    vertex bits with colour-rank bits above them."""
+    n = graph.n
+    everyone = (1 << n) - 1
+    colours = ((1 << len(graph.colors)) - 1) << n
+    ranked = sorted(graph.colors)
+    limit = float("inf") if node_budget is None else node_budget
+    need = 1 if target is None else target
+    nodes = 0
+    best = []
+    events = []
+
+    class Stop(Exception):
+        """Ends the walk; its one argument is whether the budget did."""
+
+    def visit(size, used, path):
+        nonlocal need, nodes, best
+        if nodes >= limit:
+            events.append(("budget", size, nodes))
+            raise Stop(True)
+        nodes += 1
+        if size > len(best):
+            best = path
+            events.append(("incumbent", size, nodes))
+            if target is None:
+                need = size + 1
+            elif size >= target:
+                raise Stop(False)
+        free = everyone & ~used
+        room = free.bit_count()
+        if (size + room // 2 < need
+                or size + (colours & ~used).bit_count() < need):
+            return
+        low = (free & -free).bit_length() - 1
+        skip = size + (room - 1) // 2 >= need
+        used |= 1 << low
+        for m in graph.options[low]:
+            if not used & m:
+                w = (m & everyone).bit_length() - 1
+                edge = (min(low, w), max(low, w), ranked[(m >> n).bit_length() - 1])
+                visit(size + 1, used | m, path + [edge])
+        if skip:
+            visit(size, used, path)
+
+    try:
+        visit(0, used, [])
+        budget_hit = False
+    except Stop as stop:
+        budget_hit = stop.args[0]
+    return Matching(best), len(best), nodes, events, budget_hit
+
+
 def brute_max_matching(graph) -> int:
     """Maximum matching size ignoring colours, same subset scan."""
     edges = list(graph.edges)

@@ -1,4 +1,9 @@
+import dataclasses
+import itertools
+import math
+import re
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +11,7 @@ from hypothesis import strategies as st
 
 from rainbowmatch import (
     BudgetExceeded,
+    CampaignConfig,
     Matching,
     SearchEvent,
     bound_n,
@@ -14,14 +20,21 @@ from rainbowmatch import (
     count_transversals,
     cyclic_square,
     greedy_proper_coloring,
+    greedy_rainbow,
     is_rainbow_matching,
     latin_to_graph,
     max_rainbow_matching,
     rainbow_matching_at_least,
     random_graph_min_degree,
     random_latin,
+    rule_exchange,
+    rule_vertex_reduce,
+    run_campaign,
+    run_engine,
     solve_decision,
 )
+from rainbowmatch.engine import _matched_bits
+from rainbowmatch.solver import _matching, _search
 
 from conftest import (
     brute_count_rainbow,
@@ -33,6 +46,7 @@ from conftest import (
     k4_one_factorization,
     random_instance,
     reference_count_walk,
+    reference_search_walk,
 )
 from test_graphs import proper_graphs
 
@@ -158,15 +172,41 @@ def test_published_traces_hold_search_events():
 
 
 def test_negative_budget_raises_and_zero_is_legal():
+    # Only None or a non-negative int is a budget: NaN would switch the cap
+    # off (``nodes >= nan`` never holds) and True would act as 1.  Every
+    # entry point checks it before any early return: a target of 0 or
+    # below, a greedy seed that reaches the target, an empty exchange, no
+    # vertex of high enough degree, a campaign before its first instance.
     g = k33_cyclic()
-    for walk in (lambda b: max_rainbow_matching(g, node_budget=b),
-                 lambda b: solve_decision(g, 3, b),
-                 lambda b: count_rainbow_matchings(g, 3, node_budget=b),
-                 lambda b: count_rainbow_matchings(g, 0, node_budget=b)):
-        with pytest.raises(ValueError, match="node budget must be at least 0, got -3"):
-            walk(-3)
+    campaign = CampaignConfig(deltas=(2,), n_rule="fixed:5", samples=1, recolorings=0)
+    walks = (lambda b: max_rainbow_matching(g, node_budget=b),
+             lambda b: solve_decision(g, 3, b),
+             lambda b: solve_decision(g, 0, b),
+             lambda b: solve_decision(g, -3, b),
+             lambda b: rainbow_matching_at_least(g, 3, b),
+             lambda b: rainbow_matching_at_least(g, 0, b),
+             lambda b: count_rainbow_matchings(g, 3, node_budget=b),
+             lambda b: count_rainbow_matchings(g, 0, node_budget=b),
+             lambda b: count_rainbow_matchings(g, -1, node_budget=b),
+             lambda b: run_engine(g, 3, node_budget=b),
+             lambda b: run_engine(g, 0, node_budget=b),
+             lambda b: rule_exchange(g, greedy_rainbow(g), node_budget=b),
+             lambda b: rule_exchange(g, Matching(), node_budget=b),
+             lambda b: rule_vertex_reduce(g, 3, node_budget=b),
+             lambda b: rule_vertex_reduce(g, 0, node_budget=b),
+             lambda b: run_campaign(dataclasses.replace(campaign, node_budget=b)))
+    for bad, message in [(-3, "node budget must be at least 0, got -3"),
+                         (math.nan, "node budget must be an integer, got nan"),
+                         (math.inf, "node budget must be an integer, got inf"),
+                         (2.5, "node budget must be an integer, got 2.5"),
+                         (True, "node budget must be an integer, got True")]:
+        for walk in walks:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                walk(bad)
+    assert len(greedy_rainbow(g)) == 3   # so run_engine(g, 3) returns at its seed
     assert max_rainbow_matching(g, node_budget=0).nodes_explored == 0
     assert count_rainbow_matchings(g, 0, node_budget=0) == 1
+    assert run_campaign(campaign).cells[0].instances == 1
     with pytest.raises(BudgetExceeded):
         count_rainbow_matchings(g, 3, node_budget=0)
 
@@ -226,6 +266,21 @@ def test_count_budget_boundary_is_exact():
                 count_rainbow_matchings(g, size, node_budget=nodes - 1)
             checked += 1
     assert checked == 742
+
+
+def test_a_counter_budget_stop_builds_no_further_level():
+    # Unbudgeted, size 6 on this encoding holds 9.6 MB of states at its
+    # peak.  The budget is checked before each bucket of merged states is
+    # expanded, so a stop at 1,000 nodes builds nothing past that bucket.
+    g = latin_to_graph(random_latin(9, 5))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="^node budget 1000 hit while counting$"):
+            count_rainbow_matchings(g, 6, node_budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_count_on_a_graph_too_small_for_the_size_is_one_node():
@@ -318,6 +373,48 @@ def test_max_at_the_proven_order_for_d8_is_cheap():
         assert is_rainbow_matching(g, res.best)
         nodes.append(res.nodes_explored)
     assert nodes[9] == 29_953
+
+
+def exchange_roots(graph):
+    """Root masks as the exchange builds them: the greedy rainbow
+    matching's vertex and colour bits with none, one or two of its edges
+    XORed out, and the empty mask."""
+    bits, used = _matched_bits(graph, greedy_rainbow(graph))
+    roots = [0]
+    for removals in range(3):
+        for removed in itertools.combinations(bits, removals):
+            root = used
+            for mask in removed:
+                root ^= mask
+            roots.append(root)
+    return roots
+
+
+def assert_search_matches_reference(graph):
+    """``_search`` against :func:`reference_search_walk` from every
+    exchange root, for max and for every target, with no budget and with
+    budgets that stop the walk at its start, its middle and its end."""
+    for used in exchange_roots(graph):
+        for target in [None, *range(1, graph.n // 2 + 2)]:
+            full = _search(graph, target, None, used)[2]
+            for budget in sorted({0, 1, full // 2, max(full - 1, 0), full}) + [None]:
+                chain, *rest = _search(graph, target, budget, used)
+                walk = (_matching(graph, chain), *rest)
+                assert walk == reference_search_walk(graph, target, budget, used), \
+                    (graph, target, budget, used)
+
+
+def test_search_matches_the_reference_walk_on_the_seeded_corpus(small_corpus):
+    # The walk fixes its colour bound once, from the root's unused colours;
+    # the reference counts a node's unused colours afresh at every node.
+    for g in small_corpus:
+        assert_search_matches_reference(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(proper_graphs(max_n=9, max_m=14))
+def test_search_matches_the_reference_walk(g):
+    assert_search_matches_reference(g)
 
 
 def test_deep_instance_runs_without_touching_the_recursion_limit():
