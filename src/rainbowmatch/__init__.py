@@ -64,6 +64,7 @@ from .solver import (
 )
 from .engine import (
     RuleStep,
+    applicable_rules,
     greedy_rainbow,
     replay_trace,
     rule_direct,
@@ -78,7 +79,6 @@ from .auditor import (
     CertResult,
     ClaimCheck,
     MatchedPair,
-    applicable_rules,
     audit_state,
     audit_stuck_state,
     certify_counting_bound,

@@ -47,13 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import (
-    rule_direct,
-    rule_exchange,
-    rule_mono,
-    rule_vertex_reduce,
-    run_engine,
-)
+from .engine import run_engine
 from .errors import BudgetExceeded, InvalidState, NotStuck
 from .graphs import (
     Edge,
@@ -346,30 +340,6 @@ def audit_stuck_state(graph: EdgeColoredGraph, target: int | None = None,
     mono = pick_mono_class(graph, result.best)
     report = audit_state(graph, result.best, mono)
     return report, result
-
-
-def applicable_rules(graph: EdgeColoredGraph, matching: Matching,
-                     target: int | None = None,
-                     max_exchange_depth: int = 3,
-                     node_budget: int | None = None) -> list[str]:
-    """Names of the engine rules that fire on this state; audit helper.
-
-    Vertex reduce aims at ``target``, by default one past the matching's
-    size, as the engine does.  ``node_budget`` bounds the exchange and vertex
-    reduce's decide call; hitting it raises :class:`BudgetExceeded`.  A
-    negative ``max_exchange_depth`` raises ``ValueError``.
-    """
-    names = []
-    if rule_direct(graph, matching) is not None:
-        names.append("direct")
-    if rule_mono(graph, matching) is not None:
-        names.append("mono")
-    if rule_exchange(graph, matching, max_exchange_depth, node_budget) is not None:
-        names.append("exchange")
-    goal = target if target is not None else len(matching) + 1
-    if rule_vertex_reduce(graph, goal, node_budget) is not None:
-        names.append("vertex-reduce")
-    return names
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .auditor import chain_order
-from .engine import run_engine
+from .engine import _check_depth, run_engine
 from .generators import greedy_proper_coloring, random_graph_min_degree
 from .errors import WrongWitness
 from .graphs import EdgeColoredGraph, bound_n, is_rainbow_matching, min_degree
@@ -207,6 +207,7 @@ def run_campaign(config: CampaignConfig, out_dir: str | Path | None = None) -> C
         raise ValueError(f"samples must be at least 1, got {config.samples}")
     if config.recolorings < 0:
         raise ValueError(f"recolorings must be at least 0, got {config.recolorings}")
+    _check_depth(config.engine_depth)
     _node_limit(config.node_budget)
     config_hash = config.config_hash()
     records, cells, violations, witness_files = [], [], [], []

@@ -15,7 +15,6 @@ import sys
 
 from .auditor import (
     NON_BINDING_CHECKS,
-    applicable_rules,
     audit_state,
     audit_stuck_state,
     certify_counting_bound,
@@ -27,7 +26,7 @@ from .campaigns import (
     run_campaign,
     write_campaign_files,
 )
-from .engine import run_engine, trace_to_json_lines
+from .engine import applicable_rules, run_engine, trace_to_json_lines
 from .errors import Error, NotStuck, ParseError
 from .graphs import Matching, min_degree
 from .io import dumps_graph, load_graph, to_json
@@ -197,11 +196,15 @@ def cmd_latin(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    if args.mono_color is not None and args.matching is None:
+        raise ValueError(f"--mono-color {args.mono_color} needs --matching")
     graph = load_graph(args.file)
     engine_res = None
     if args.matching is not None:
         matching = Matching(_parse_triples(args.matching))
         if args.mono_color is not None:
+            if args.mono_color not in graph.colors:
+                raise ValueError(f"the graph has no edge of colour {args.mono_color}")
             mono = Matching([e for e in graph.edges if e[2] == args.mono_color])
         else:
             mono = pick_mono_class(graph, matching)
@@ -216,9 +219,9 @@ def cmd_audit(args) -> int:
         except NotStuck as exc:
             print(f"not stuck: {exc}")
             return 0
-        # The engine stops without a budget note only once direct, mono,
-        # the exchange to this depth and vertex reduce all fail on its
-        # state, so no rule applies there.
+        # Empty by construction: the engine stops without a budget note only
+        # once every move of engine._moves, the list that applicable_rules
+        # reads, has failed on its state.
         rules = []
     payload = to_json(report)
     payload["applicable_rules"] = rules

@@ -1,21 +1,27 @@
 """Rule engine that grows a rainbow matching by local moves.
 
 The engine seeds with a greedy pass, then repeatedly applies the first
-applicable rule in a fixed priority order until a target size is reached
-or nothing fires:
+applicable rule in this fixed priority order until a target size is
+reached or nothing fires:
 
-* direct: add an edge whose endpoints are free and whose colour is unused;
+* direct: add the first edge (by id) whose endpoints are free and whose
+  colour is unused;
 * mono: trade a matched edge for a same-coloured free edge plus a
   fresh-coloured pendant at one of the freed endpoints;
 * exchange: remove up to ``k`` matched edges and insert ``k + 1``
   replacement edges keeping the matching rainbow, found by the solver's
-  exact core in decide mode from the kept edges;
-* vertex reduce: delete one vertex of very high degree, find a matching
-  of the smaller target in the rest with one decide call, and extend back
-  through that vertex by pigeonhole.
+  exact core in decide mode from the kept edges, at ``k`` = 1, 2, ... up
+  to the exchange depth;
+* vertex reduce, aimed one past the current size: delete one vertex of
+  very high degree, find a matching of the smaller target in the rest
+  with one decide call, and extend back through that vertex by pigeonhole.
 
 Every rule either returns a rainbow matching exactly one edge larger or
-reports non-applicability, so a trace replays deterministically.
+reports non-applicability, so a trace replays deterministically.  The
+order is written once, in one lazy move list: :func:`run_engine` applies
+its first move that fires, and :func:`applicable_rules` lists every move
+that fires.  The greedy seed, direct and vertex reduce's pigeonhole step
+share one first-fit scan over edges.
 """
 
 from __future__ import annotations
@@ -24,17 +30,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetExceeded, InvalidState
-from .graphs import Edge, EdgeColoredGraph, Matching, _edge_of, _require_edges
+from .graphs import Edge, EdgeColoredGraph, Matching, _edge_of, _require_edges, max_degree
 from .solver import SolveResult, _matching, _node_limit, _search, rainbow_matching_at_least
 
 RULE_SEED = "R-seed"
 RULE_DIRECT = "R-direct"
 RULE_MONO = "R-mono"
 RULE_VERTEX_REDUCE = "R-vertex-reduce"
-
-
-def rule_exchange_name(depth: int) -> str:
-    return f"R-exchange-{depth}"
 
 
 @dataclass(frozen=True)
@@ -58,20 +60,22 @@ class RuleStep:
         return obj
 
 
+def _compatible(edges, used_v: set[int], used_c: set[int]):
+    """Yield, in order, each of ``edges`` that shares no vertex with
+    ``used_v`` and no colour with ``used_c``, adding it to both sets."""
+    for e in edges:
+        u, v, c = e
+        if u not in used_v and v not in used_v and c not in used_c:
+            used_v.add(u)
+            used_v.add(v)
+            used_c.add(c)
+            yield e
+
+
 def greedy_rainbow(graph: EdgeColoredGraph) -> Matching:
     """Scan edges in canonical order, keeping each vertex- and
     colour-compatible edge."""
-    chosen: list[Edge] = []
-    used_v: set[int] = set()
-    used_c: set[int] = set()
-    for u, v, c in graph.edges:
-        if u in used_v or v in used_v or c in used_c:
-            continue
-        chosen.append((u, v, c))
-        used_v.add(u)
-        used_v.add(v)
-        used_c.add(c)
-    return Matching(chosen)
+    return Matching(_compatible(graph.edges, set(), set()))
 
 
 def _matched_bits(graph, matching):
@@ -100,13 +104,9 @@ def rule_direct(graph: EdgeColoredGraph, matching: Matching) -> Matching | None:
     matched edges that share a vertex or a colour raise
     :class:`InvalidState`."""
     _matched_bits(graph, matching)
-    used_v = matching.vertices
-    used_c = set(matching.colors)
-    for e in graph.edges:
-        u, v, c = e
-        if u not in used_v and v not in used_v and c not in used_c:
-            return Matching(matching.edges + (e,))
-    return None
+    e = next(_compatible(graph.edges, set(matching.vertices), set(matching.colors)),
+             None)
+    return None if e is None else Matching(matching.edges + (e,))
 
 
 def rule_exchange(graph: EdgeColoredGraph, matching: Matching, depth: int = 3,
@@ -217,40 +217,26 @@ def rule_vertex_reduce(graph: EdgeColoredGraph, target: int,
     ``node_budget`` runs out before it decides.
     """
     _node_limit(node_budget)
-    if target < 1:
+    if target < 1 or max_degree(graph) <= 3 * (target - 1):
         return None
-    threshold = 3 * (target - 1)
-    pivot = None
-    for v in range(graph.n):
-        d = graph.degree(v)
-        if d > threshold and (pivot is None or d > graph.degree(pivot)):
-            pivot = v
-    if pivot is None:
-        return None
+    pivot = max(range(graph.n), key=graph.degree)
     sub = rainbow_matching_at_least(graph.without_vertex(pivot), target - 1,
                                     node_budget)
     if sub is None:
         return None
-    used_v = sub.vertices
-    used_c = set(sub.colors)
-    pivot_bit = 1 << pivot
-    for m in graph.options[pivot]:
-        e = _edge_of(graph.edges, pivot_bit | m)
-        other = e[1] if e[0] == pivot else e[0]
-        if other not in used_v and e[2] not in used_c:
-            return Matching(sub.edges + (e,))
-    return None
+    # The pigeonhole count above guarantees a compatible edge at the pivot.
+    pivot_edges = (e for e in graph.edges if pivot in e[:2])
+    return Matching(sub.edges + (next(_compatible(
+        pivot_edges, set(sub.vertices), set(sub.colors))),))
 
 
 def run_engine(graph: EdgeColoredGraph, target: int,
                max_exchange_depth: int = 3,
                node_budget: int | None = None) -> SolveResult:
-    """Greedy seed, then rules in priority order until target or no rule
-    fires.
+    """Greedy seed, then the first rule that fires, in the priority order
+    of the module docstring, until target or no rule fires.
 
-    Priority: direct, mono, exchange at depths 1..max_exchange_depth,
-    vertex reduce (aimed one past the current size, so every step nets
-    exactly +1).  ``node_budget`` caps the run's exchange core nodes
+    ``node_budget`` caps the run's exchange core nodes
     (``nodes_explored``) and vertex reduce's decide call; hitting
     it adds a note to the trace and is never raised.  The result is a
     heuristic: ``optimal`` is always False.  A negative
@@ -265,8 +251,10 @@ def run_engine(graph: EdgeColoredGraph, target: int,
     steps = [RuleStep(RULE_SEED, (), current.edges)]
     exchange_counter = [0]
     while len(current) < target:
-        improved, rule, note = _next_move(
-            graph, current, max_exchange_depth, node_budget, exchange_counter)
+        moves = _moves(graph, current, len(current) + 1, max_exchange_depth,
+                       node_budget, exchange_counter)
+        rule, improved, note = next(
+            (move for move in moves if move[1] is not None or move[2]), ("", None, ""))
         if note:
             steps.append(RuleStep(rule, (), (), note=note))
         if improved is None:
@@ -288,25 +276,49 @@ def run_engine(graph: EdgeColoredGraph, target: int,
     )
 
 
-def _next_move(graph, current, max_depth, node_budget, counter):
-    found = rule_direct(graph, current)
-    if found is not None:
-        return found, RULE_DIRECT, ""
-    found = rule_mono(graph, current)
-    if found is not None:
-        return found, RULE_MONO, ""
-    found, removals, hit = _exchange(graph, current, max_depth, node_budget, counter)
+def _moves(graph, matching, goal, depth, node_budget, counter):
+    """The rules in priority order, lazily: one ``(trace rule name, larger
+    matching or None, budget note)`` per rule, vertex reduce aimed at
+    ``goal``.  Exchange core nodes add up in ``counter[0]``.  Ends after a
+    budget note."""
+    yield RULE_DIRECT, rule_direct(graph, matching), ""
+    yield RULE_MONO, rule_mono(graph, matching), ""
+    found, removals, hit = _exchange(graph, matching, depth, node_budget, counter)
+    yield f"R-exchange-{removals}", found, "node budget hit" if hit else ""
     if hit:
-        return None, rule_exchange_name(removals), "node budget hit"
-    if found is not None:
-        return found, rule_exchange_name(removals), ""
+        return
     try:
-        found = rule_vertex_reduce(graph, len(current) + 1, node_budget)
+        yield RULE_VERTEX_REDUCE, rule_vertex_reduce(graph, goal, node_budget), ""
     except BudgetExceeded as exc:
-        return None, RULE_VERTEX_REDUCE, str(exc)
-    if found is not None:
-        return found, RULE_VERTEX_REDUCE, ""
-    return None, "", ""
+        yield RULE_VERTEX_REDUCE, None, str(exc)
+
+
+def applicable_rules(graph: EdgeColoredGraph, matching: Matching,
+                     target: int | None = None,
+                     max_exchange_depth: int = 3,
+                     node_budget: int | None = None) -> list[str]:
+    """Short names (``direct``, ``mono``, ``exchange``, ``vertex-reduce``)
+    of the engine rules that fire on this state, from the engine's own
+    move list; audit helper.
+
+    Vertex reduce aims at ``target``, by default one past the matching's
+    size, as the engine does.  ``node_budget`` bounds the exchange and vertex
+    reduce's decide call; hitting it raises :class:`BudgetExceeded`.  A
+    negative ``max_exchange_depth`` raises ``ValueError``.
+    """
+    _check_depth(max_exchange_depth)
+    _node_limit(node_budget)
+    goal = target if target is not None else len(matching) + 1
+    names = []
+    for rule, found, note in _moves(graph, matching, goal, max_exchange_depth,
+                                    node_budget, [0]):
+        if note:
+            raise BudgetExceeded(note if rule == RULE_VERTEX_REDUCE else
+                                 f"node budget {node_budget} hit in the exchange")
+        if found is not None:
+            # "R-exchange-2" -> "exchange", "R-vertex-reduce" -> "vertex-reduce"
+            names.append(rule[2:].rstrip("-0123456789"))
+    return names
 
 
 def replay_trace(trace) -> Matching:

@@ -237,6 +237,15 @@ def test_repeated_delta_is_rejected():
         run_campaign(CampaignConfig(deltas=(2, 3, 2), samples=1))
 
 
+def test_negative_engine_depth_is_rejected_before_any_graph(monkeypatch):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a graph was generated before the depth was checked")
+
+    monkeypatch.setattr(campaigns, "random_graph_min_degree", no_generator)
+    with pytest.raises(ValueError, match="^exchange depth must be at least 0, got -1$"):
+        run_campaign(CampaignConfig(deltas=(2,), samples=1, engine_depth=-1))
+
+
 def test_campaign_is_reproducible_byte_for_byte():
     first = run_campaign(SMALL)
     second = run_campaign(SMALL)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -272,6 +273,18 @@ def test_certify_runs_without_numpy():
     assert proc.stdout.splitlines()[0] == CERTIFY_DELTA_2_LINE
 
 
+def test_certify_failure_exits_3(capsys, monkeypatch):
+    # A stand-in certificate that fails at delta = 3 only.
+    real = cli.certify_counting_bound
+    monkeypatch.setattr(cli, "certify_counting_bound", lambda delta: dataclasses.replace(
+        real(delta), holds=delta != 3))
+    assert main(["certify", "2,3,4"]) == 3
+    captured = capsys.readouterr()
+    assert [line.split()[1] for line in captured.out.splitlines()] == [
+        "holds", "FAILS", "holds"]
+    assert captured.err == "1 delta value(s) failed certification\n"
+
+
 @pytest.mark.parametrize("deltas", ["5..2", ","])
 def test_certify_rejects_empty_range(deltas, capsys):
     # An empty range must not read as a passed certificate.
@@ -334,6 +347,22 @@ def test_latin_crosscheck_mismatch_exits_3(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == (f"crosscheck mismatch on sample 0: {count} vs {count + 1}\n"
                             + dumps_square(square))
+
+
+def test_latin_random_odd_square_without_transversal_exits_3(capsys, monkeypatch):
+    # A stand-in count of 0: every odd sample is reported with its square,
+    # while an even order with no transversal is no violation.
+    monkeypatch.setattr(cli, "count_transversals", lambda square: 0)
+    assert main(["latin", "--random", "5", "--samples", "2", "--seed", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "order 5 samples 2 odd_zero_transversal 2\n"
+    assert captured.err == "".join(
+        f"sample {i}: odd order 5 with no transversal\n"
+        + dumps_square(random_latin(5, 3 + i)) for i in range(2))
+    assert main(["latin", "--random", "4", "--samples", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "order 4 samples 2 odd_zero_transversal 0\n"
+    assert captured.err == ""
 
 
 def test_latin_random_rejects_samples_below_one(capsys):
@@ -434,6 +463,27 @@ def test_audit_explicit_target_defaults_past_the_matching(pend_file, capsys):
 def test_audit_rejects_bad_matching_string(k4_file, capsys):
     assert main(["audit", k4_file, "--matching", "0,1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_audit_rejects_a_mono_colour_the_graph_lacks(k4_file, capsys):
+    assert main(["audit", k4_file, "--target", "2", "--matching", "0,1,1",
+                 "--mono-color", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the graph has no edge of colour 9\n"
+    # A colour of the graph that the matching uses is an invalid state.
+    assert main(["audit", k4_file, "--target", "2", "--matching", "0,1,1",
+                 "--mono-color", "1"]) == 2
+    assert capsys.readouterr().err == ("error: InvalidState: the monochromatic "
+                                       "colour must be unused by the matching\n")
+
+
+def test_audit_rejects_a_mono_colour_without_a_matching(k4_file, capsys):
+    # The engine path picks its own class, so the flag would be dropped.
+    assert main(["audit", k4_file, "--target", "2", "--mono-color", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --mono-color 1 needs --matching\n"
 
 
 # ----------------------------------------------------------------- plumbing

@@ -31,6 +31,8 @@ from rainbowmatch import (
     trace_to_json_lines,
 )
 
+from rainbowmatch.engine import _moves
+
 from conftest import (
     brute_max_rainbow,
     c4,
@@ -303,9 +305,48 @@ def test_vertex_reduce_inapplicable_below_degree_cap():
 
 
 def test_vertex_reduce_star_fails_cleanly():
+    # K1,7 and K1,4, coloured 1..7 and 1..4: the centre's degree is above
+    # 3, but without it no edge is left for the 1-matching, so the engine
+    # stops at its seed.
     edges = [(0, i, i) for i in range(1, 8)]
-    star = build_graph(8, edges)
-    assert rule_vertex_reduce(star, 2) is None
+    for star in (build_graph(8, edges), build_graph(5, edges[:4])):
+        assert rule_vertex_reduce(star, 2) is None
+        res = run_engine(star, 2)
+        assert res.size == 1
+        assert [s.rule for s in res.trace] == ["R-seed"]
+
+
+def test_vertex_reduce_pivot_is_the_lowest_id_on_a_degree_tie():
+    # Two disjoint stars of degree 4, both coloured 1..4.  Deleting 0 leaves
+    # 56 for the 1-matching, and 0 then skips 01 for its colour; deleting 5
+    # would give 01 and 57 instead.
+    g = build_graph(10, [(0, i, i) for i in range(1, 5)]
+                    + [(5, 5 + i, i) for i in range(1, 5)])
+    assert rule_vertex_reduce(g, 2) == Matching([(0, 2, 2), (5, 6, 1)])
+
+
+# --------------------------------------------------------- applicable_rules
+
+def test_applicable_rules_lists_direct_and_vertex_reduce_on_k4():
+    # Mono and the exchange need a matched edge; every vertex of K4 has
+    # degree 3 > 0 = 3 * (1 - 1).
+    assert applicable_rules(k4_one_factorization(), Matching()) == [
+        "direct", "vertex-reduce"]
+
+
+def test_applicable_rules_budget_messages():
+    # The depth-1 exchange on the pendant star needs 6 core nodes, and the
+    # decide call for size 1 below needs 3.
+    with pytest.raises(BudgetExceeded, match="^node budget 5 hit in the exchange$"):
+        applicable_rules(pendant_star(), Matching([(0, 1, 1)]), None, 1, 5)
+    # The move list itself ends at the exchange's note, before vertex reduce.
+    moves = list(_moves(pendant_star(), Matching([(0, 1, 1)]), 2, 1, 5, [0]))
+    assert moves == [("R-direct", None, ""), ("R-mono", None, ""),
+                     ("R-exchange-1", None, "node budget hit")]
+    g = build_graph(8, [(0, i, i) for i in range(1, 8)] + [(1, 2, 8)])
+    with pytest.raises(BudgetExceeded,
+                       match="^node budget 2 hit before deciding size 1$"):
+        applicable_rules(g, Matching([(0, 1, 1)]), None, 0, 2)
 
 
 # ---------------------------------------------------------------- run_engine
